@@ -40,6 +40,7 @@ __all__ = [
     "proportional_clamp_caps",
     "quarantine_caps",
     "plan_with_degradation",
+    "record_decision",
 ]
 
 
@@ -149,6 +150,31 @@ def quarantine_caps(
     return caps
 
 
+def record_decision(decision: DegradationDecision,
+                    requested_budget_w: float) -> None:
+    """Publish one ladder decision: the ``faults.degradation.{tier}`` and
+    ``.retries`` counters plus the ``plan_degraded`` event.
+
+    :func:`plan_with_degradation` calls this for every decision it
+    makes; a caller that replays a memoised decision calls it again so
+    the telemetry record is the same as if the ladder had re-run.
+    """
+    if not enabled():
+        return
+    registry = get_registry()
+    registry.counter(f"faults.degradation.{decision.tier}").inc()
+    if decision.attempts > 1:
+        registry.counter("faults.degradation.retries").inc(
+            decision.attempts - 1
+        )
+    emit("faults.degradation", "plan_degraded",
+         tier=decision.tier, attempts=decision.attempts,
+         feasible=decision.feasible,
+         requested_budget_w=float(requested_budget_w),
+         planned_budget_w=decision.planned_budget_w,
+         backoff_s=decision.backoff_s)
+
+
 def plan_with_degradation(
     policy: Policy,
     budget_w: float,
@@ -183,19 +209,7 @@ def plan_with_degradation(
     floor_power = hosts * float(min_cap_w)
 
     def _emit(decision: DegradationDecision) -> DegradationDecision:
-        if enabled():
-            registry = get_registry()
-            registry.counter(f"faults.degradation.{decision.tier}").inc()
-            if decision.attempts > 1:
-                registry.counter("faults.degradation.retries").inc(
-                    decision.attempts - 1
-                )
-            emit("faults.degradation", "plan_degraded",
-                 tier=decision.tier, attempts=decision.attempts,
-                 feasible=decision.feasible,
-                 requested_budget_w=budget,
-                 planned_budget_w=decision.planned_budget_w,
-                 backoff_s=decision.backoff_s)
+        record_decision(decision, budget)
         return decision
 
     def _ladder() -> DegradationDecision:

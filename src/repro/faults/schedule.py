@@ -224,9 +224,21 @@ class FaultSchedule:
         return bool(self.events)
 
     def of_kind(self, *kinds: FaultKind) -> Tuple[FaultEvent, ...]:
-        """Events of the given kinds, in time order."""
-        wanted = set(kinds)
-        return tuple(e for e in self.events if e.kind in wanted)
+        """Events of the given kinds, in time order.
+
+        Memoised per ``kinds`` (the schedule is frozen): compliance
+        accounting asks for the budget changes once per batch.
+        """
+        memo = self.__dict__.get("_kind_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_kind_memo", memo)
+        found = memo.get(kinds)
+        if found is None:
+            wanted = set(kinds)
+            found = tuple(e for e in self.events if e.kind in wanted)
+            memo[kinds] = found
+        return found
 
     # Lazy per-schedule query indices.  A schedule is frozen, so the
     # event tuple never changes after __post_init__ and the indices are

@@ -189,6 +189,8 @@ def run_fused_facility_leaves(
             fused_sp.set_attribute("stacked_passes", passes)
             fused_sp.set_attribute("char_hits", planner.char_hits)
             fused_sp.set_attribute("char_misses", planner.char_misses)
+            fused_sp.set_attribute("plan_hits", planner.plan_hits)
+            fused_sp.set_attribute("plan_misses", planner.plan_misses)
         if enabled():
             registry = get_registry()
             registry.counter("hierarchy.fused.rounds").inc(rounds)

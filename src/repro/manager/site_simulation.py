@@ -430,8 +430,15 @@ class PlannedBatch:
         return self.scheduled.mix
 
 
+#: Ladder plans held per (shape, efficiencies) memo slot.  A slot's
+#: plan dict clears wholesale when full — the rule the stacked-layout
+#: memo follows — so a campaign whose budgets never repeat cannot grow
+#: it without bound.
+_PLAN_MEMO_LIMIT = 128
+
+
 class BatchPlanner:
-    """Memoised fault-free planning for a stream of admitted batches.
+    """Memoised planning for a stream of admitted batches.
 
     Characterization and cap allocation depend only on the job *shapes*
     (kernel config, node count, iterations), the host-efficiency vector,
@@ -447,7 +454,9 @@ class BatchPlanner:
     ``dataclasses.replace`` — every numeric field byte-for-byte the one a
     fresh :func:`characterize_mix` + :meth:`PowerManager.plan` +
     :func:`apply_job_runtime` chain would produce, because that is
-    exactly what populated the memo.
+    exactly what populated the memo.  :meth:`plan_degraded` memoises the
+    degradation ladder's plan the same way, for budget-only fault
+    batches.
     """
 
     def __init__(self, manager: PowerManager, policy: Policy) -> None:
@@ -455,7 +464,9 @@ class BatchPlanner:
         self.policy = policy
         # shape_key -> {"layout": HostLayout,
         #               "by_eff": {eff bytes -> {"char": ...,
-        #                                        "caps": {budget -> caps}}}}
+        #                                        "caps": {budget -> caps},
+        #                                        "plans": {(budget, config)
+        #                                          -> (decision, caps)}}}}
         # One nested entry per shape so the (potentially expensive)
         # shape-key tuple — it hashes every KernelConfig field — is
         # hashed once per plan call, not once per memo level.
@@ -465,13 +476,16 @@ class BatchPlanner:
         #: fused facility engine, across clusters).
         self.char_hits = 0
         self.char_misses = 0
+        #: Degradation-ladder memo hits/misses (:meth:`plan_degraded`).
+        self.plan_hits = 0
+        self.plan_misses = 0
 
     def _lookup(self, scheduled: "ScheduledMix") -> dict:
         """The per-(shape, efficiencies) memo slot, characterized.
 
         Seeds the mix's layout memo from the per-shape cache and counts
         a characterization hit or miss; shared by :meth:`plan` and
-        :meth:`characterization`.
+        :meth:`plan_degraded`.
         """
         mix = scheduled.mix
         shape_key = tuple(
@@ -492,23 +506,11 @@ class BatchPlanner:
             char = characterize_mix(
                 mix, scheduled.efficiencies, self.manager.model
             )
-            sub = {"char": char, "caps": {}}
+            sub = {"char": char, "caps": {}, "plans": {}}
             entry["by_eff"][eff_key] = sub
         else:
             self.char_hits += 1
         return sub
-
-    def characterization(self, scheduled: "ScheduledMix"):
-        """The memoised characterization alone (no cap allocation).
-
-        The budget-only fault path plans its caps through the
-        degradation ladder rather than the per-budget caps memo (the
-        faulted budget varies per epoch), but its characterization is
-        the same pure function of (shapes, efficiencies, model) —
-        numerically identical to the fresh ``characterize_mix`` call the
-        scalar fault path makes.
-        """
-        return self._lookup(scheduled)["char"]
 
     def plan(self, scheduled: "ScheduledMix", budget_w: float,
              relabel: bool = True):
@@ -545,6 +547,56 @@ class BatchPlanner:
             caps.setflags(write=False)
             sub["caps"][budget_key] = caps
         return char, caps
+
+    def plan_degraded(self, scheduled: "ScheduledMix", budget_w: float,
+                      config=None):
+        """Plan through the degradation ladder, memoised.
+
+        Returns ``(decision, effective_caps)``: the
+        :class:`~repro.faults.degradation.DegradationDecision` a fresh
+        :func:`~repro.faults.degradation.plan_with_degradation` call
+        makes for this batch's characterization at ``budget_w`` under
+        ``config``, and the caps the engine runs — the ladder's caps,
+        passed through :func:`apply_job_runtime` on the ``replan`` tier
+        for application-aware policies — as a read-only array.  The
+        ladder is a pure function of (policy, characterization, budget,
+        config), and the characterization is this slot's, so the result
+        is keyed by ``(budget_w, config)`` inside the slot.
+
+        A memo hit replays the decision's telemetry (the
+        ``faults.degradation.*`` counters and the ``plan_degraded``
+        event, quoting this call's budget), so registry totals are the
+        ones a fresh ladder run per batch records.  Callers must not
+        mutate the returned decision.
+        """
+        from repro.faults.degradation import (
+            plan_with_degradation,
+            record_decision,
+        )
+
+        sub = self._lookup(scheduled)
+        budget = float(budget_w)
+        plans = sub["plans"]
+        key = (budget, config)
+        hit = plans.get(key)
+        if hit is not None:
+            self.plan_hits += 1
+            record_decision(hit[0], budget)
+            return hit
+        self.plan_misses += 1
+        char = sub["char"]
+        decision = plan_with_degradation(
+            self.policy, budget, characterization=char, config=config,
+        )
+        caps = decision.caps_w
+        if decision.tier == "replan" and self.policy.application_aware:
+            caps = apply_job_runtime(char, caps)
+        caps = np.asarray(caps, dtype=float)
+        caps.setflags(write=False)
+        if len(plans) >= _PLAN_MEMO_LIMIT:
+            plans.clear()
+        plans[key] = (decision, caps)
+        return decision, caps
 
 
 #: Shared read-only ``arange(n)`` vectors for the uniform-hosts fast
@@ -672,7 +724,6 @@ def plan_shift_batch(
     budget_w: float,
     batch_budget_w: float,
     quarantined: Tuple[int, ...],
-    manager: PowerManager,
     run_seed: Optional[int],
     planner: BatchPlanner,
     uniform_hosts: bool = False,
@@ -697,13 +748,18 @@ def plan_shift_batch(
     quantity is unchanged; only the never-recorded ``node_ids`` differ.
 
     ``injecting=True`` plans a *budget-only* fault batch (see
-    :func:`budget_only_schedule`): characterization from the planner's
-    memo — numerically identical to the scalar path's fresh call — and
-    caps through the same
+    :func:`budget_only_schedule`): caps through the same
     :func:`~repro.faults.degradation.plan_with_degradation` ladder at
-    ``batch_budget_w``, with the schedule attached for stage 3's
-    compliance accounting.
+    ``batch_budget_w``, served from the planner's memo
+    (:meth:`BatchPlanner.plan_degraded` — numerically identical to the
+    scalar path's fresh characterization and ladder run), with the
+    schedule attached for stage 3's compliance accounting.
+
+    ``policy`` must be the planner's own policy: the memo is keyed
+    without it.
     """
+    if policy is not planner.policy:
+        raise ValueError("plan_shift_batch: policy is not planner.policy")
     mix = WorkloadMix(
         name=f"batch-{batch_index}",
         jobs=tuple(r.to_job() for r in admitted),
@@ -738,21 +794,10 @@ def plan_shift_batch(
         _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
         fault_schedule = None
     else:
-        from repro.faults.degradation import plan_with_degradation
-
-        char = planner.characterization(scheduled)
-        plan = plan_with_degradation(
-            policy, batch_budget_w, characterization=char,
-            host_count=n,
-            min_cap_w=manager.model.power_model.min_cap_w,
-            tdp_w=manager.model.power_model.tdp_w,
-            config=degradation,
+        plan, effective_caps = planner.plan_degraded(
+            scheduled, batch_budget_w, degradation
         )
         tier, backoff_s = plan.tier, plan.backoff_s
-        caps = plan.caps_w
-        if plan.tier == "replan" and policy.application_aware:
-            caps = apply_job_runtime(char, caps)
-        effective_caps = np.asarray(caps, dtype=float)
         sim_budget_w = float(batch_budget_w)
     return PlannedBatch(
         clock=clock,
@@ -809,11 +854,12 @@ def finish_planned_batch(planned: PlannedBatch, result,
     mid-batch budget drops — with the identical float operation order.
 
     ``scalars``, when given, is ``(job_elapsed_s, duration, mean_power,
-    energy)`` precomputed for this row — :func:`execute_planned_batches`
-    derives them for a whole group in four vectorised reductions whose
-    per-row values are element-identical to the serial property chain
-    (same summands, same order, exact max), saving four numpy dispatches
-    per batch on the hot path.
+    energy, planned_overshoot)`` precomputed for this row —
+    :func:`execute_planned_batches` derives them for a whole group in
+    vectorised reductions whose per-row values are element-identical to
+    the serial property chain (same summands, same order, exact max),
+    saving their numpy dispatches per batch on the hot path.  The
+    overshoot is ``None`` for a row without a fault schedule.
     """
     backoff_s = planned.backoff_s
     if scalars is None:
@@ -821,7 +867,7 @@ def finish_planned_batch(planned: PlannedBatch, result,
         duration = float(np.max(elapsed)) + backoff_s
         mean_power_w = result.mean_system_power_w
     else:
-        elapsed, duration, mean_power_w, _ = scalars
+        elapsed, duration, mean_power_w, _, group_overshoot = scalars
         duration = duration + backoff_s
     planned_overshoot_ws = 0.0
     overshoot_ws = 0.0
@@ -830,9 +876,12 @@ def finish_planned_batch(planned: PlannedBatch, result,
 
         fault_schedule = planned.fault_schedule
         clock = planned.clock
-        planned_overshoot_ws = result.budget_overshoot_watt_seconds(
-            planned.batch_budget_w
-        )
+        if scalars is None:
+            planned_overshoot_ws = result.budget_overshoot_watt_seconds(
+                planned.batch_budget_w
+            )
+        else:
+            planned_overshoot_ws = group_overshoot
         overshoot_ws = planned_overshoot_ws
         mean_p = mean_power_w
         for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
@@ -885,6 +934,29 @@ def finish_planned_batch(planned: PlannedBatch, result,
     )
 
 
+def _group_overshoot(rows: Sequence[PlannedBatch], group_results,
+                     times: np.ndarray) -> Optional[np.ndarray]:
+    """Each row's watt-seconds above its launch budget, group-wide.
+
+    The ``(S, iterations)`` form of
+    :meth:`~repro.sim.results.MixRunResult.budget_overshoot_watt_seconds`
+    at every row's ``batch_budget_w``: per-iteration wall time (exact
+    max over jobs), iteration power, clipped excess, and a row-wise sum
+    over the contiguous iteration axis — the same summands in the same
+    order as the per-row call, so every row is element-identical to it.
+    ``None`` when no row carries a fault schedule (nothing reads it).
+    """
+    if all(b.fault_schedule is None for b in rows):
+        return None
+    durations = times.max(axis=2)
+    energy = np.stack([r.iteration_energy_j for r in group_results])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        power = np.where(durations > 0, energy / durations, 0.0)
+    budgets = np.array([float(b.batch_budget_w) for b in rows])
+    excess = np.maximum(power - budgets[:, None], 0.0)
+    return np.sum(excess * durations, axis=1)
+
+
 def execute_planned_batches(
     planned: Sequence[PlannedBatch],
     manager: PowerManager,
@@ -935,12 +1007,12 @@ def execute_planned_batches(
             )
             # Group-wide derived scalars: each row of these reductions
             # sums/maxes exactly the elements the per-row property chain
-            # (job_elapsed_s / mean_system_power_w / total_energy_j)
-            # would, in the same order, so the values are bit-identical
-            # — four numpy calls replace four per batch.
-            elapsed = np.stack(
-                [r.iteration_times_s for r in group_results]
-            ).sum(axis=1)
+            # (job_elapsed_s / mean_system_power_w / total_energy_j /
+            # budget_overshoot_watt_seconds) would, in the same order,
+            # so the values are bit-identical — one numpy call per
+            # quantity replaces one per batch.
+            times = np.stack([r.iteration_times_s for r in group_results])
+            elapsed = times.sum(axis=1)
             duration = elapsed.max(axis=1)
             mean_power = np.stack(
                 [r.host_mean_power_w for r in group_results]
@@ -948,11 +1020,13 @@ def execute_planned_batches(
             energy = np.stack(
                 [r.host_energy_j for r in group_results]
             ).sum(axis=1)
+            overshoot = _group_overshoot(rows, group_results, times)
             for row, (i, result) in enumerate(zip(indices, group_results)):
                 results[i] = result
                 scalars[i] = (
                     elapsed[row], float(duration[row]),
                     float(mean_power[row]), float(energy[row]),
+                    None if overshoot is None else float(overshoot[row]),
                 )
     return [
         finish_planned_batch(batch, result, scalar)
@@ -1192,7 +1266,6 @@ def shift_rounds(
                 budget_w=budget_w,
                 batch_budget_w=batch_budget_w,
                 quarantined=quarantined,
-                manager=manager,
                 run_seed=run_seed,
                 planner=planner,
                 uniform_hosts=uniform_hosts,

@@ -16,6 +16,7 @@ reproducibility).
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import Iterable, List, Tuple, Union
 
@@ -26,6 +27,13 @@ __all__ = ["child_seed", "child_seeds"]
 _SeedPart = Union[int, str]
 
 
+@functools.lru_cache(maxsize=1024)
+def _fold_str(part: str) -> int:
+    """CRC-32 of a string identity, computed once per distinct string
+    (identities such as ``"site-batch"`` recur on every batch)."""
+    return zlib.crc32(part.encode("utf-8"))
+
+
 def _fold(part: _SeedPart) -> int:
     """One entropy word from an identity component."""
     if isinstance(part, bool) or not isinstance(part, (int, str)):
@@ -34,7 +42,7 @@ def _fold(part: _SeedPart) -> int:
         if part < 0:
             raise ValueError("integer seed parts must be non-negative")
         return part
-    return zlib.crc32(part.encode("utf-8"))
+    return _fold_str(part)
 
 
 def child_seed(run_seed: int, *identity: _SeedPart) -> int:

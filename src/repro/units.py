@@ -84,7 +84,20 @@ def ensure_positive(value, name: str):
     Returns the value unchanged so the helper can be used inline::
 
         self.tdp_w = ensure_positive(tdp_w, "tdp_w")
+
+    A plain ``float`` or ``int`` (exact type, so ``bool`` and numpy
+    scalars take the array path) is checked without building an array;
+    it accepts and rejects exactly what the array path does, and an
+    ``int`` too large for a float still raises ``OverflowError``.
     """
+    if type(value) is float or type(value) is int:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not value > 0:
+            raise ValueError(
+                f"{name} must be strictly positive, got {value!r}"
+            )
+        return value
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")

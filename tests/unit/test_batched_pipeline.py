@@ -122,6 +122,49 @@ class TestStagedPipelineIdentity:
             [(f"j{i}",) for i in range(len(shapes))]
 
 
+class TestGroupComplianceAccounting:
+    def test_group_overshoot_matches_per_row_property(self):
+        # Stage 3 derives each budget-only fault row's overshoot in one
+        # group-wide reduction; every record must equal the per-row
+        # ``budget_overshoot_watt_seconds`` chain bit for bit.
+        import dataclasses
+
+        from repro.faults.schedule import FaultSchedule
+        from repro.manager.site_simulation import finish_planned_batch
+        from repro.sim.execution import SimulationOptions, simulate_mix
+
+        cluster = Cluster(node_count=12, seed=5)
+        policy = create_policy("MixedAdaptive")
+        manager = PowerManager()
+        planner = BatchPlanner(manager, policy)
+        schedule = FaultSchedule(name="dip").budget_drop(2.0, 500.0)
+        planned = []
+        for index, launch_w in enumerate([600.0, 700.0, 2500.0, 650.0]):
+            admitted = [_request(f"j{index}", nodes=4)]
+            batch = _staged(
+                float(index), index, admitted, _decision(admitted),
+                cluster, policy, 2500.0, manager, planner=planner,
+            )
+            planned.append(dataclasses.replace(
+                batch, batch_budget_w=launch_w, sim_budget_w=launch_w,
+                fault_schedule=schedule if index != 2 else None,
+            ))
+        grouped = execute_planned_batches(planned, manager, 0.02)
+        per_row = [
+            finish_planned_batch(batch, simulate_mix(
+                batch.mix, batch.effective_caps, batch.scheduled.efficiencies,
+                manager.model,
+                SimulationOptions(noise_std=0.02, seed=batch.batch_seed),
+                policy_name=policy.name, budget_w=batch.sim_budget_w,
+            ))
+            for batch in planned
+        ]
+        assert grouped == per_row
+        overshoots = [e.record.planned_overshoot_ws for e in grouped]
+        assert sum(1 for o in overshoots if o > 0.0) >= 2
+        assert overshoots[2] == 0.0
+
+
 class TestBatchPlannerMemo:
     def test_same_shape_reuses_caps_object(self):
         cluster = Cluster(node_count=12, variation=None, seed=0)

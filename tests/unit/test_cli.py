@@ -256,3 +256,28 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestFacilitySimProfile:
+    def test_fused_span_reports_plan_memo_hits(self, capsys, tmp_path):
+        # The smoke-sized facility campaign (8 x 800 nodes, 16 jobs per
+        # cluster): the fused span carries the planner's ladder-memo
+        # counts next to its characterization counts, and the memo must
+        # hit more often than it misses.
+        from repro.telemetry import reset
+
+        reset()
+        out = tmp_path / "fused-facility"
+        assert main([
+            "facility-sim", "--clusters", "8", "--nodes-per-cluster", "800",
+            "--jobs", "16", "--engine", "fused", "--rows", "4",
+            "--telemetry-out", str(out), "--profile",
+        ]) == 0
+        assert (out / "profile.txt").exists()
+        spans = json.loads((out / "trace.json").read_text())["spans"]
+        fused = [s for s in spans if s["name"] == "hierarchy.facility.fused"]
+        assert fused
+        attributes = fused[-1]["attributes"]
+        for key in ("char_hits", "char_misses", "plan_hits", "plan_misses"):
+            assert key in attributes
+        assert attributes["plan_hits"] > attributes["plan_misses"]

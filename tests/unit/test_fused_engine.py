@@ -283,3 +283,44 @@ class TestProfileWriter:
                 in span_self_times([parent, child])}
         assert rows["outer"][2] == pytest.approx(0.5)
         assert rows["inner"][2] == pytest.approx(1.5)
+
+
+class TestLadderPlanMemo:
+    CONFIG_KW = dict(clusters=4, nodes_per_cluster=96, jobs_per_cluster=8,
+                     seed=3)
+
+    def _degradation_counters(self, **engine_kw):
+        from repro.experiments.facility_scale import (
+            FacilityCampaignConfig,
+            run_facility_campaign,
+        )
+        from repro.telemetry import get_registry, reset
+
+        reset()
+        result = run_facility_campaign(
+            FacilityCampaignConfig(**self.CONFIG_KW), **engine_kw
+        )
+        counters = get_registry().snapshot()["counters"]
+        return result, {
+            name: value for name, value in counters.items()
+            if name.startswith("faults.degradation.")
+        }
+
+    def test_counter_totals_equal_ladder_planned_batches(self):
+        # Memo hits replay the ladder's telemetry: one tier count per
+        # ladder-planned batch, as if every batch had run the ladder.
+        fused, counters = self._degradation_counters(engine="fused")
+        ladder_batches = sum(
+            1 for outcome in fused.clusters
+            for record in outcome.result.batches
+            if record.degradation_tier != "none"
+        )
+        tiers = sum(value for name, value in counters.items()
+                    if name != "faults.degradation.retries")
+        assert ladder_batches > 0
+        assert tiers == ladder_batches
+        # ...and the same totals the scalar path (a fresh ladder run
+        # per batch) records.
+        serial, serial_counters = self._degradation_counters(workers=1)
+        assert serial == fused
+        assert counters == serial_counters

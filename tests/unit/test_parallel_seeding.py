@@ -51,6 +51,39 @@ class TestChildSeed:
         assert alone[0] == among[1]
 
 
+class TestGoldenSeeds:
+    """Seeds pinned to the values the uncached string folding produced.
+
+    A change to how identities are folded (caching included) must never
+    shift a derived seed: every recorded noise stream depends on them.
+    """
+
+    GOLDEN = [
+        ((0,), 2968811710),
+        ((0, "site-batch", 0), 2396001874),
+        ((7, "site-batch", 1), 2688286461),
+        ((7, "site-batch", 575), 2386812600),
+        ((123456, "site-batch", 42), 3263263450),
+        ((1, "Mix", "ideal", "StaticCaps"), 1915997458),
+        ((2**31, "x"), 2851379198),
+        ((5, 0), 16823399),
+        ((3, "cluster", 15, "replay"), 533104154),
+        ((42, ""), 3444837047),
+    ]
+
+    @pytest.mark.parametrize("parts, expected", GOLDEN)
+    def test_child_seed_golden(self, parts, expected):
+        assert child_seed(*parts) == expected
+        # Twice: the second call folds its strings from the cache.
+        assert child_seed(*parts) == expected
+
+    def test_child_seeds_golden(self):
+        identities = [("OnlyMix", "ideal", "StaticCaps"), "solo", 9]
+        expected = [2641691506, 4288739048, 2954317433]
+        assert child_seeds(3, identities) == expected
+        assert child_seeds(3, identities) == expected
+
+
 class TestChildSeeds:
     def test_one_per_identity(self):
         seeds = child_seeds(0, [("a",), ("b",), ("c",)])

@@ -1,7 +1,11 @@
 """Unit tests for :mod:`repro.units`."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 
@@ -54,6 +58,56 @@ class TestEnsurePositive:
     def test_error_names_the_parameter(self):
         with pytest.raises(ValueError, match="tdp_w"):
             units.ensure_positive(-5, "tdp_w")
+
+    @pytest.mark.parametrize("value", [
+        float("-inf"), -0.0, 0, -1, -(2**40), -5e-324,
+    ])
+    def test_scalar_fast_path_rejects(self, value):
+        with pytest.raises(ValueError):
+            units.ensure_positive(value, "x")
+
+    @pytest.mark.parametrize("value", [5e-324, 2.2250738585072014e-308,
+                                       1, 2**62, 1.7976931348623157e308])
+    def test_scalar_fast_path_accepts_and_returns_value(self, value):
+        assert units.ensure_positive(value, "x") is value
+
+    def test_bool_takes_the_array_path(self):
+        # ``bool`` is not exactly ``int``: it converts to 1.0 / 0.0.
+        assert units.ensure_positive(True, "x") is True
+        with pytest.raises(ValueError, match="strictly positive"):
+            units.ensure_positive(False, "x")
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+    def test_huge_int_overflows(self, value):
+        with pytest.raises(OverflowError):
+            units.ensure_positive(value, "x")
+
+
+def _outcome(call):
+    try:
+        call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+class TestEnsurePositiveFastPathEquivalence:
+    """The scalar fast path accepts and rejects exactly what the array
+    path does (a one-element list always takes the array path)."""
+
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True,
+                  allow_subnormal=True),
+        st.integers(),
+        st.integers(min_value=2**1000, max_value=2**1100),
+        st.sampled_from([0, -0.0, 5e-324, -5e-324, True, False,
+                         math.inf, -math.inf, math.nan]),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_matches_array_path(self, value):
+        fast = _outcome(lambda: units.ensure_positive(value, "x"))
+        array = _outcome(lambda: units.ensure_positive([value], "x"))
+        assert fast == array
 
 
 class TestEnsureNonNegative:

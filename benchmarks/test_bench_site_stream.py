@@ -5,18 +5,19 @@ engine fed a high-rate Poisson arrival stream whose rate extrapolates
 to over half a million arrivals per simulated day, with per-job
 bookkeeping disabled (``record_jobs=False``) so memory stays bounded by
 the backpressure window rather than the arrival count.  Concurrent
-in-flight batch physics runs through the vectorised batched engines
-(``batched_physics=True``): arrivals accumulate over a quantised
-admission window (``admission_interval_s``) and every batch in flight
-at a flush is simulated as rows of one stacked tensor step instead of
-one scalar engine call each.
+in-flight batch physics runs through the staged batch pipeline:
+arrivals accumulate over a quantised admission window
+(``admission_interval_s``) and every batch launched at a flush is
+simulated as rows of one stacked tensor step instead of one scalar
+engine call each.
 
 The run asserts the memory contract directly — terminal jobs
 forgotten, no per-batch records retained, peak tracked jobs a small
 multiple of ``max_pending`` — plus the concurrency contract (at least
 eight batches in flight at the peak) and, on a short paired window with
-records enabled, bit-identity between the batched and scalar physics
-paths: identical stats and identical per-batch records.
+records enabled, bit-identity between the stacked passes and the frozen
+scalar reference engine (``tests/batch_oracle.py``): identical stats
+and identical per-batch records.
 
 The arrival stream is seeded, so the arrival count (and therefore the
 ``arrivals_per_day`` metric) is deterministic; wall-clock metrics vary
@@ -41,6 +42,7 @@ from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
 from repro.io.bench_artifacts import BenchMetric
 from repro.stream import SiteStreamEngine, poisson_stream, synthetic_job_factory
+from tests.batch_oracle import OracleStreamEngine
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 
@@ -53,13 +55,14 @@ ADMISSION_INTERVAL_S = 4.0
 SEED = 11
 
 
-def _build_engine(duration_s, *, batched=True, record_batches=False):
+def _build_engine(duration_s, *, engine_cls=SiteStreamEngine,
+                  record_batches=False):
     cluster = Cluster(node_count=NODE_COUNT, variation=None, seed=0)
-    engine = SiteStreamEngine(
+    engine = engine_cls(
         cluster, create_policy("StaticCaps"), BUDGET_W,
         rolling=True, max_pending=MAX_PENDING,
         record_jobs=False, record_batches=record_batches,
-        run_seed=None, batched_physics=batched,
+        run_seed=None,
         admission_interval_s=ADMISSION_INTERVAL_S,
         per_job_batches=True,
     )
@@ -121,13 +124,14 @@ def test_sustained_stream_throughput_and_memory(emit):
     assert stats.mean_turnaround_s() > 0.0
 
     # Bit-identity spot check: on a short paired window with records
-    # enabled, the batched physics path must reproduce the scalar path
-    # exactly — same stats, same per-batch records, same turnarounds.
-    # Quantised admission is an engine-level scheduling choice, not a
-    # physics one; both engines share it so the pairing isolates the
-    # batched-vs-scalar execution difference.
-    batched = _build_engine(60.0, batched=True, record_batches=True)
-    scalar = _build_engine(60.0, batched=False, record_batches=True)
+    # enabled, the stacked passes must reproduce the frozen scalar
+    # reference exactly — same stats, same per-batch records, same
+    # turnarounds.  Quantised admission is an engine-level scheduling
+    # choice, not a physics one; both engines share it so the pairing
+    # isolates the stacked-vs-scalar execution difference.
+    batched = _build_engine(60.0, record_batches=True)
+    scalar = _build_engine(60.0, engine_cls=OracleStreamEngine,
+                           record_batches=True)
     stats_b = batched.run()
     stats_s = scalar.run()
     assert stats_b == stats_s

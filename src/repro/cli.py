@@ -260,15 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="simulated stream length (default 600 s)")
     p_stream.add_argument("--seed", type=int, default=0,
                           help="arrival-stream and noise seed")
-    p_stream.add_argument("--batched", action="store_true",
-                          help="route concurrent in-flight batch physics "
-                               "through one vectorised stacked step "
-                               "(bit-identical, much faster at high rates)")
     p_stream.add_argument("--admission-interval", type=float, default=None,
                           metavar="S",
                           help="quantise admission to one flush per S "
                                "simulated seconds so concurrent batches "
-                               "pile up for the vectorised step")
+                               "pile up for one stacked engine pass")
     p_stream.add_argument("--per-job-batches", action="store_true",
                           help="split each admitted set into one batch "
                                "per job (more, smaller concurrent batches)")
@@ -650,7 +646,6 @@ def _cmd_site(grid: ExperimentGrid, policy: str, jobs: int, replays: int,
 
 def _build_stream_engine(grid: ExperimentGrid, policy: str,
                          max_pending: int, seed: int,
-                         batched: bool = False,
                          admission_interval_s: Optional[float] = None,
                          per_job_batches: bool = False):
     """A rolling engine sized like the ``site`` command's cluster."""
@@ -665,7 +660,6 @@ def _build_stream_engine(grid: ExperimentGrid, policy: str,
         rolling=True, max_pending=max_pending,
         record_jobs=False, record_batches=False,
         run_seed=seed,
-        batched_physics=batched,
         admission_interval_s=admission_interval_s,
         per_job_batches=per_job_batches,
     )
@@ -689,7 +683,6 @@ def _cmd_stream(grid: ExperimentGrid, args: argparse.Namespace) -> int:
             return 2
     engine, nodes, budget_w = _build_stream_engine(
         grid, args.policy, args.max_pending, args.seed,
-        batched=args.batched,
         admission_interval_s=args.admission_interval,
         per_job_batches=args.per_job_batches,
     )

@@ -398,6 +398,8 @@ class FaultSchedule:
         """The engine-applicable faults, re-clocked to a run starting at
         ``start_s`` on this schedule's clock.  ``None`` when no cap or
         noise fault could touch the run."""
+        if not self.of_kind(*ENGINE_KINDS):
+            return None
         shifted = self.shifted(-start_s)
         events = tuple(e for e in shifted.events if e.kind in ENGINE_KINDS)
         if not events:

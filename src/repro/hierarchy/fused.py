@@ -16,12 +16,12 @@ and routes each round's co-resident batches — across clusters —
 through shared stacked passes:
 
 * Each cluster's shift loop runs as a
-  :func:`~repro.manager.site_simulation.shift_rounds` generator in
-  staged mode: the loop *yields* each planned batch instead of
-  executing it inline, and receives the executed result back via
-  ``send()``.  Control flow, RNG draws, seeds, and per-cluster
-  accumulation order are the scalar loop's own statements — the staged
-  and scalar modes share one function body.
+  :func:`~repro.manager.site_simulation.shift_rounds` generator: the
+  loop *yields* each planned batch and receives the executed result
+  back via ``send()``.  Control flow, RNG draws, seeds, and per-cluster
+  accumulation order are the generator's own statements — the same ones
+  :func:`~repro.manager.site_simulation.run_site_simulation` drives one
+  S=1 pass at a time.
 * One shared :class:`~repro.manager.site_simulation.BatchPlanner`
   serves every cluster, so each job class is characterized once
   *facility-wide* — the in-process analogue of the sharded mode's
@@ -31,8 +31,8 @@ through shared stacked passes:
 * Each lockstep round collects the pending batches (in cluster order)
   and hands them to
   :func:`~repro.manager.site_simulation.execute_planned_batches`,
-  which groups by ``(group_key, job boundaries, iterations)`` and runs
-  one ``(S, hosts)`` engine pass per group.  The standard symmetric
+  which groups by :func:`~repro.manager.site_simulation.stack_key` and
+  runs one ``(S, hosts)`` engine pass per group.  The standard symmetric
   campaign's typical round is **one stacked pass for the whole
   facility**.
 
@@ -42,20 +42,18 @@ Fused ≡ sharded ≡ ``workers=1``, bit-identical (pinned by the
 fused-identity property suite).  Per-cluster RNG streams are untouched
 — seeds are derived and consumed inside each cluster's own generator —
 and grouped-pass rows are element-identical to serial ``simulate_mix``
-calls (the staged-pipeline contract).  Clusters whose fault schedules
-carry engine-applicable events (host failures, sensor dropouts) never
-stage: their generator runs the scalar per-batch path internally and
-returns on its first advance.  Budget-only schedules — the shape every
-facility leaf schedule takes (allocation steps only) — stage fully:
-their engine call is the plain fault-free physics, and the degradation
-ladder plus compliance accounting run in stages 1 and 3 with the
-scalar float-operation order.
+calls (the staged-pipeline contract).  Every fault schedule stages: the
+degradation ladder and compliance accounting run in stages 1 and 3,
+and a batch carrying engine-applicable faults (stuck or erroring caps,
+noise bursts) runs as its own S=1 group in stage 2.  Budget-only
+schedules — the shape every facility leaf schedule takes (allocation
+steps only) — fuse like fault-free batches.
 
 When does sharded still win?  On genuinely multi-core hosts with
 *heterogeneous* clusters (little cross-cluster structure sharing) or
-engine-fault-heavy schedules (nothing stages), N workers do N
-clusters' scalar physics concurrently while the fused engine does them
-serially.  The symmetric many-cluster campaign is the opposite regime:
+engine-fault-heavy schedules (one S=1 pass per faulted batch), N
+workers do N clusters' physics concurrently while the fused engine
+does them serially.  The symmetric many-cluster campaign is the opposite regime:
 fusion turns N serial engine calls per round into one.
 """
 
@@ -64,13 +62,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import create_policy
-from repro.manager.admission import PowerAwareAdmission
 from repro.manager.power_manager import PowerManager
 from repro.manager.site_simulation import (
     BatchPlanner,
     SiteSimulationResult,
     execute_planned_batches,
     shift_rounds,
+    stack_key,
 )
 from repro.telemetry import enabled, get_registry, span
 from repro.units import ensure_positive
@@ -132,32 +130,18 @@ def run_fused_facility_leaves(
             # The scalar path validates inside run_site_simulation; the
             # fused engine must reject the same degenerate budgets.
             ensure_positive(budgets_w[i], "budget_w")
-            cluster = build_cluster(spec, config.seed)
-            schedule = schedules[i]
-            injecting = schedule is not None and schedule.active
-            efficiencies = cluster.efficiencies
-            uniform = bool((efficiencies == efficiencies[0]).all())
             generators.append(shift_rounds(
                 cluster_arrivals(spec),
-                cluster,
-                policy,
+                build_cluster(spec, config.seed),
                 float(budgets_w[i]),
-                PowerAwareAdmission(model=manager.model),
-                manager,
-                config.noise_std,
-                config.max_batches,
-                seeds[i],
-                schedule,
-                None,   # degradation config (the sharded default)
-                1.0,    # reaction_s (the sharded default)
-                injecting,
-                planner=planner,
-                staged=True,
-                uniform_hosts=uniform,
+                planner,
+                max_batches=config.max_batches,
+                run_seed=seeds[i],
+                fault_schedule=schedules[i],
             ))
 
-        # Prime: run every cluster to its first staged batch (or, for
-        # non-stageable / trivially short streams, to completion).
+        # Prime: run every cluster to its first batch (or, for a
+        # trivially short stream, to completion).
         pending: Dict[int, object] = {}
         for i in range(n):
             batch = advance(i, _PRIME)
@@ -173,11 +157,7 @@ def run_fused_facility_leaves(
             executions = execute_planned_batches(
                 batches, manager, config.noise_std
             )
-            passes += len({
-                (b.mix.layout().job_boundaries.tobytes(),
-                 b.mix.common_iterations())
-                for b in batches
-            })
+            passes += len({stack_key(b) for b in batches})
             pending = {}
             for i, execution in zip(indices, executions):
                 batch = advance(i, execution)

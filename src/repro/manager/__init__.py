@@ -30,7 +30,6 @@ from repro.manager.site_simulation import (
     BatchExecution,
     BatchRecord,
     SiteSimulationResult,
-    execute_admitted_batch,
     run_site_simulation,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "BatchExecution",
     "BatchRecord",
     "SiteSimulationResult",
-    "execute_admitted_batch",
     "run_site_simulation",
 ]

@@ -6,8 +6,8 @@ whenever capacity frees up, admitted batches run under a policy, and the
 site's power telemetry accumulates into the Fig. 1-style record.  This is
 the operating loop the paper's stack serves, driven end to end:
 
-    arrivals -> JobQueue -> PowerAwareAdmission -> Scheduler
-             -> Policy allocation -> simulate_mix -> telemetry
+    arrivals -> JobQueue -> PowerAwareAdmission -> plan_batch
+             -> execute_planned_batches -> finish_planned_batch -> telemetry
 
 The simulation is event-stepped at batch granularity: whenever the
 cluster drains, the next admission round runs against everything that has
@@ -16,13 +16,17 @@ ones would need preemptive re-allocation, which the paper leaves to
 future work; batch granularity keeps the model inside what the paper's
 policies define.)
 
-The long-lived, event-driven form of this loop lives in
-:mod:`repro.stream`: the streaming site engine reuses
-:func:`execute_admitted_batch` — the per-batch physics extracted here —
-so a replayed arrival list is bit-identical between the two, while the
-stream engine adds sustained-load behaviours (rolling admission on
-capacity-freed events, mid-stream budget changes, backpressure) this
-closed batch call cannot express.
+Every batch runs through one staged pipeline: :func:`plan_batch`
+schedules it and plans its caps through a memoising
+:class:`BatchPlanner`, :func:`execute_planned_batches` simulates any
+number of planned batches in grouped ``(S, hosts)`` engine passes, and
+:func:`finish_planned_batch` folds each row into a
+:class:`BatchExecution`.  The shift loop itself is one generator,
+:func:`shift_rounds`, which yields each planned batch to its caller:
+:func:`run_site_simulation` and the streaming engine's replay mode run
+one S=1 pass per batch, the fused facility engine fuses the batches of
+all clusters.  The rolling streaming engine (:mod:`repro.stream`) plans
+and executes every admission flush through the same stages.
 
 Fault replay
 ------------
@@ -34,9 +38,10 @@ hosts are quarantined for the batch), and whether a sensor dropout has
 blinded characterization (the batch then plans through the
 :func:`~repro.faults.degradation.plan_with_degradation` ladder's
 characterization-free clamp tier).  Engine-applicable faults (stuck or
-erroring caps, noise bursts) are re-clocked into the batch's
-:class:`~repro.sim.execution.SimulationOptions` via
-:meth:`~repro.faults.schedule.FaultSchedule.engine_slice`.  Every fault
+erroring caps, noise bursts) are re-clocked via
+:meth:`~repro.faults.schedule.FaultSchedule.engine_slice`; a batch that
+carries such a slice runs as its own S=1 group with the slice in its
+:class:`~repro.sim.execution.SimulationOptions`.  Every fault
 hook is gated on :attr:`~repro.faults.schedule.FaultSchedule.active`, so
 ``None`` and an *empty* schedule take the identical fault-free code path
 and produce bit-identical results.
@@ -55,7 +60,7 @@ from repro.core.policy import Policy
 from repro.manager.admission import AdmissionDecision, PowerAwareAdmission
 from repro.manager.power_manager import PowerManager, apply_job_runtime
 from repro.manager.queue import JobQueue, JobRequest, JobState
-from repro.manager.scheduler import ScheduledMix, Scheduler
+from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
 from repro.sim.execution import SimulationOptions
 from repro.telemetry import emit, enabled, get_registry, span
@@ -69,14 +74,13 @@ __all__ = [
     "BatchPlanner",
     "PlannedBatch",
     "SiteSimulationResult",
-    "budget_only_schedule",
-    "execute_admitted_batch",
     "execute_planned_batches",
     "finish_planned_batch",
-    "plan_admitted_batch",
-    "plan_shift_batch",
+    "plan_batch",
+    "run_shift",
     "run_site_simulation",
     "shift_rounds",
+    "stack_key",
 ]
 
 
@@ -202,193 +206,19 @@ class SiteSimulationResult:
         return max((b.mean_power_w for b in self.batches), default=0.0)
 
 
-def execute_admitted_batch(
-    *,
-    clock: float,
-    batch_index: int,
-    admitted: Sequence[JobRequest],
-    decision: AdmissionDecision,
-    batch_cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    batch_budget_w: float,
-    quarantined: Tuple[int, ...],
-    manager: PowerManager,
-    noise_std: float,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
-) -> BatchExecution:
-    """Schedule, plan, and execute one admitted batch at ``clock``.
-
-    The per-batch physics of the shift loop, extracted so the streaming
-    site engine (:mod:`repro.stream.engine`) runs *exactly* this code:
-    identical scheduling shuffle (``shuffle_seed=batch_index``), identical
-    noise-seed derivation, identical degradation/overshoot accounting.
-    Replaying one arrival list through either loop therefore produces
-    bit-identical batch records.
-
-    ``budget_w`` is the budget the planner quotes on fault-free launches
-    (the batch's share of the facility budget); ``batch_budget_w`` the
-    fault-adjusted budget in force at launch, used by the degradation
-    ladder and the compliance accounting.
-    """
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    scheduled = Scheduler(
-        batch_cluster, shuffle_seed=batch_index
-    ).allocate(mix)
-    if run_seed is None:
-        batch_seed = batch_index
-    else:
-        from repro.parallel.seeding import child_seed
-
-        batch_seed = child_seed(run_seed, "site-batch", batch_index)
-    tier = "none"
-    backoff_s = 0.0
-    with span("manager.site.batch", batch=batch_index,
-              admitted=len(decision.admitted),
-              quarantined=len(quarantined)) as batch_sp:
-        if not injecting:
-            char = characterize_mix(
-                mix, scheduled.efficiencies, manager.model
-            )
-            run = manager.launch(
-                scheduled, policy, budget_w, characterization=char,
-                options=SimulationOptions(
-                    noise_std=noise_std, seed=batch_seed
-                ),
-            )
-            result = run.result
-        else:
-            from repro.faults.degradation import plan_with_degradation
-            from repro.faults.schedule import FaultKind
-            from repro.sim.execution import simulate_mix
-
-            # Plan through the degradation ladder: sensor dropouts
-            # blind characterization, forcing the clamp tier.
-            blinded = bool(fault_schedule.sensor_dropout_at(clock))
-            char = None if blinded else characterize_mix(
-                mix, scheduled.efficiencies, manager.model
-            )
-            plan = plan_with_degradation(
-                policy, batch_budget_w, characterization=char,
-                host_count=scheduled.mix.total_nodes,
-                min_cap_w=manager.model.power_model.min_cap_w,
-                tdp_w=manager.model.power_model.tdp_w,
-                config=degradation,
-            )
-            tier, backoff_s = plan.tier, plan.backoff_s
-            caps = plan.caps_w
-            if char is not None and plan.tier == "replan" \
-                    and policy.application_aware:
-                caps = apply_job_runtime(char, caps)
-            result = simulate_mix(
-                scheduled.mix, caps, scheduled.efficiencies,
-                manager.model,
-                SimulationOptions(
-                    noise_std=noise_std, seed=batch_seed,
-                    fault_schedule=fault_schedule.engine_slice(clock),
-                ),
-                policy_name=policy.name, budget_w=batch_budget_w,
-            )
-        duration = float(np.max(result.job_elapsed_s)) + backoff_s
-        planned_overshoot_ws = 0.0
-        overshoot_ws = 0.0
-        if injecting:
-            # Post-plan compliance against the launch budget, judged
-            # on the iteration power trace...
-            planned_overshoot_ws = result.budget_overshoot_watt_seconds(
-                batch_budget_w
-            )
-            overshoot_ws = planned_overshoot_ws
-            # ...plus the reaction window of any budget drop landing
-            # mid-batch, charged at the batch's mean draw until the
-            # actuator responds.
-            mean_p = result.mean_system_power_w
-            for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
-                if clock < event.time_s < clock + duration:
-                    dipped = fault_schedule.budget_at(
-                        max(event.time_s, event.end_s), budget_w
-                    )
-                    window = min(
-                        reaction_s, clock + duration - event.time_s
-                    )
-                    overshoot_ws += max(0.0, mean_p - dipped) * window
-        if batch_sp is not None:
-            batch_sp.set_attribute("degradation_tier", tier)
-            batch_sp.set_attribute("duration_s", duration)
-    record = BatchRecord(
-        start_s=clock,
-        end_s=clock + duration,
-        admitted=decision.admitted,
-        deferred=decision.deferred,
-        mean_power_w=result.mean_system_power_w,
-        energy_j=result.total_energy_j,
-        budget_w=float(batch_budget_w),
-        degradation_tier=tier,
-        quarantined=quarantined,
-        planned_overshoot_ws=planned_overshoot_ws,
-        overshoot_ws=overshoot_ws,
-        backoff_s=backoff_s,
-    )
-    if enabled():
-        registry = get_registry()
-        utilization = result.mean_system_power_w / batch_budget_w
-        registry.gauge("manager.site.utilization").set(utilization)
-        registry.histogram("manager.site.batch_duration_s").observe(duration)
-        registry.counter("manager.site.batches").inc()
-        registry.counter("manager.site.jobs_completed").inc(
-            len(result.job_names)
-        )
-        emit(
-            "manager.site", "batch_complete",
-            batch=batch_index, policy=policy.name,
-            admitted=len(decision.admitted),
-            deferred=len(decision.deferred),
-            duration_s=duration,
-            mean_power_w=float(result.mean_system_power_w),
-            utilization=utilization,
-        )
-    # The ladder's decision latency delays the launch, so it is charged
-    # to every job's completion: elapsed + backoff keeps the float
-    # operation order of ``duration`` and lands the critical-path job
-    # exactly on ``record.end_s`` (fault-free, backoff is 0.0 and the
-    # historical values are reproduced bit-for-bit).
-    completions = tuple(
-        clock + (float(elapsed) + backoff_s)
-        for elapsed in result.job_elapsed_s
-    )
-    return BatchExecution(
-        record=record,
-        job_names=tuple(result.job_names),
-        completion_s=completions,
-    )
-
-
 @dataclass(frozen=True)
 class PlannedBatch:
     """An admitted batch, planned but not yet simulated.
 
-    The batched rolling path of the streaming engine splits
-    :func:`execute_admitted_batch` into stages so the expensive middle —
-    the engine call — can be shared across all co-resident batches:
-    :func:`plan_admitted_batch` produces one of these per batch,
-    :func:`execute_planned_batches` runs all of them through
+    The unit passed between the pipeline's stages, so the expensive
+    middle — the engine call — can be shared across co-resident batches:
+    :func:`plan_batch` produces one of these per batch,
+    :func:`execute_planned_batches` runs any number of them through
     :func:`~repro.sim.batch.simulate_layout_batch` grouped by job
     structure, and :func:`finish_planned_batch` turns each row back into
-    the :class:`BatchExecution` the event loop consumes.  Every numeric
-    field is derived exactly as the monolithic path derives it, so the
-    staged pipeline is bit-identical to per-batch
-    :func:`execute_admitted_batch` calls (pinned by the stream property
-    suite).
+    the :class:`BatchExecution` the site loops consume.
 
-    The trailing defaulted fields extend the stage split to the two
-    callers beyond the original fault-free stream case:
+    The trailing defaulted fields:
 
     * ``group_key`` is the cross-site grouping context — the "cluster
       dimension" of the fused facility engine.  Batches only fuse into
@@ -398,11 +228,11 @@ class PlannedBatch:
       budgets) is already per-row.
     * ``tier`` / ``backoff_s`` / ``fault_schedule`` / ``reaction_s`` /
       ``sim_budget_w`` carry the degradation-ladder outcome and the
-      compliance-accounting inputs of a *budget-only* fault batch (no
-      engine-applicable faults, no failed hosts, no sensor dropouts —
-      the case whose engine call is still the fault-free physics).
-      Fault-free batches leave them at their defaults and reproduce the
-      historical records bit-for-bit.
+      compliance-accounting inputs of a batch planned under an active
+      fault schedule; ``engine_faults`` is that schedule's
+      engine-applicable slice at the batch's clock (``None`` when no cap
+      or noise fault can touch the run).  Fault-free batches leave them
+      at their defaults.
     """
 
     clock: float
@@ -421,8 +251,9 @@ class PlannedBatch:
     fault_schedule: object = None
     reaction_s: float = 1.0
     #: Budget quoted on the result metadata (``None`` → ``budget_w``);
-    #: the scalar path quotes ``batch_budget_w`` on fault runs.
+    #: fault runs quote ``batch_budget_w``.
     sim_budget_w: Optional[float] = None
+    engine_faults: object = None
 
     @property
     def mix(self) -> WorkloadMix:
@@ -430,10 +261,11 @@ class PlannedBatch:
         return self.scheduled.mix
 
 
-#: Ladder plans held per (shape, efficiencies) memo slot.  A slot's
-#: plan dict clears wholesale when full — the rule the stacked-layout
-#: memo follows — so a campaign whose budgets never repeat cannot grow
-#: it without bound.
+#: Entries held per level of the :class:`BatchPlanner` memo: shapes,
+#: efficiency vectors per shape, and caps and ladder plans per (shape,
+#: efficiencies) slot.  A level clears wholesale when full — the rule
+#: the stacked-layout memo follows — so a stream whose host draws or
+#: budgets never repeat cannot grow it without bound.
 _PLAN_MEMO_LIMIT = 128
 
 
@@ -493,6 +325,8 @@ class BatchPlanner:
         )
         entry = self._memo.get(shape_key)
         if entry is None:
+            if len(self._memo) >= _PLAN_MEMO_LIMIT:
+                self._memo.clear()
             entry = {"layout": mix.layout(),
                      "iters": mix.common_iterations(), "by_eff": {}}
             self._memo[shape_key] = entry
@@ -500,14 +334,17 @@ class BatchPlanner:
             object.__setattr__(mix, "_layout", entry["layout"])
             object.__setattr__(mix, "_common_iterations", entry["iters"])
         eff_key = scheduled.efficiencies.tobytes()
-        sub = entry["by_eff"].get(eff_key)
+        by_eff = entry["by_eff"]
+        sub = by_eff.get(eff_key)
         if sub is None:
             self.char_misses += 1
             char = characterize_mix(
                 mix, scheduled.efficiencies, self.manager.model
             )
             sub = {"char": char, "caps": {}, "plans": {}}
-            entry["by_eff"][eff_key] = sub
+            if len(by_eff) >= _PLAN_MEMO_LIMIT:
+                by_eff.clear()
+            by_eff[eff_key] = sub
         else:
             self.char_hits += 1
         return sub
@@ -535,7 +372,8 @@ class BatchPlanner:
         if relabel and char.mix_name != mix.name:
             char = dataclasses.replace(char, mix_name=mix.name)
         budget_key = float(budget_w)
-        caps = sub["caps"].get(budget_key)
+        by_budget = sub["caps"]
+        caps = by_budget.get(budget_key)
         if caps is None:
             allocation = self.manager.plan(
                 scheduled, self.policy, budget_w, char
@@ -545,7 +383,9 @@ class BatchPlanner:
                 caps = apply_job_runtime(char, caps)
             caps = np.asarray(caps, dtype=float)
             caps.setflags(write=False)
-            sub["caps"][budget_key] = caps
+            if len(by_budget) >= _PLAN_MEMO_LIMIT:
+                by_budget.clear()
+            by_budget[budget_key] = caps
         return char, caps
 
     def plan_degraded(self, scheduled: "ScheduledMix", budget_w: float,
@@ -600,7 +440,7 @@ class BatchPlanner:
 
 
 #: Shared read-only ``arange(n)`` vectors for the uniform-hosts fast
-#: path of :func:`plan_admitted_batch` (one per batch size seen).
+#: path of :func:`plan_batch` (one per batch size seen).
 _IDENTITY_ORDERS: Dict[int, np.ndarray] = {}
 
 
@@ -613,173 +453,71 @@ def _identity_order(n: int) -> np.ndarray:
     return order
 
 
-def plan_admitted_batch(
+def plan_batch(
     *,
     clock: float,
     batch_index: int,
     admitted: Sequence[JobRequest],
     decision: AdmissionDecision,
     host_efficiencies: np.ndarray,
-    policy: Policy,
+    planner: BatchPlanner,
     budget_w: float,
     batch_budget_w: float,
-    quarantined: Tuple[int, ...],
-    manager: PowerManager,
-    run_seed: Optional[int],
-    planner: Optional[BatchPlanner] = None,
+    quarantined: Tuple[int, ...] = (),
+    run_seed: Optional[int] = None,
     uniform_hosts: bool = False,
+    fault_schedule=None,
+    degradation=None,
+    reaction_s: float = 1.0,
 ) -> PlannedBatch:
-    """Stage 1 of the fault-free batch pipeline: schedule and plan.
+    """Stage 1 of the batch pipeline: schedule and plan one admitted batch.
 
-    Replicates :func:`execute_admitted_batch`'s scheduling bit-for-bit
-    without constructing the node-subset :class:`Cluster` or a
-    :class:`Scheduler`: on a subset of exactly ``mix.total_nodes`` nodes
-    the scheduler's shuffle is a full permutation of ``arange(n)`` drawn
-    from ``default_rng(batch_index)``, and the efficiencies are the
-    subset's rows gathered through it.  ``host_efficiencies`` must be the
-    cluster efficiencies of the batch's hosts in ascending host-id order
-    — the order :meth:`Cluster.subset` would have copied them in.
+    ``host_efficiencies`` (a float array) are the efficiencies of the
+    schedulable hosts in ascending host-id order.  Scheduling is :class:`Scheduler`'s draw:
+    shuffle ``arange(len(hosts))`` under ``PCG64(batch_index)`` (the
+    stream ``default_rng(batch_index)`` produces) and take the first
+    ``mix.total_nodes`` entries — the shift loop passes its whole
+    schedulable partition, the rolling engine exactly the batch's hosts.
+    ``uniform_hosts=True`` asserts every efficiency is equal: the shuffle
+    then permutes a constant vector, so it is skipped and a slice of the
+    caller's array is bound (read-only by contract).  Every simulated
+    quantity is unchanged; only the never-recorded ``node_ids`` differ.
 
-    ``uniform_hosts=True`` asserts every entry of ``host_efficiencies``
-    is equal (a homogeneous cluster, e.g. ``variation=None``).  The
-    shuffle then permutes an all-equal vector — the identity on every
-    physical input — so the permutation draw is skipped and the caller's
-    array is bound directly (it must be treated as read-only).  Every
-    simulated quantity is unchanged; only the (physics-inert, never
-    recorded) ``node_ids`` order differs from the scalar path.
+    Caps come from ``planner`` (whose policy the batch runs):
+    fault-free (``fault_schedule=None``; callers pass only an *active*
+    schedule) through :meth:`BatchPlanner.plan` at ``budget_w``; with
+    a ``fault_schedule`` through the degradation ladder at
+    ``batch_budget_w`` (:meth:`BatchPlanner.plan_degraded`), or — while
+    a sensor dropout blinds characterization at ``clock`` — through the
+    ladder's characterization-free clamp tier.  A faulted batch also
+    carries the schedule for stage 3's compliance accounting and its
+    engine-applicable slice (``engine_slice(clock)``) for stage 2.
     """
+    policy = planner.policy
     mix = WorkloadMix(
         name=f"batch-{batch_index}",
         jobs=tuple(r.to_job() for r in admitted),
     )
     n = mix.total_nodes
+    hosts = len(host_efficiencies)
+    if n > hosts:
+        raise ValueError(
+            f"mix {mix.name!r} needs {n} nodes but the partition has {hosts}"
+        )
     if uniform_hosts:
         scheduled = ScheduledMix.trusted(
-            mix, _identity_order(n), host_efficiencies
+            mix, _identity_order(n), host_efficiencies[:n]
         )
     else:
-        eff = np.asarray(host_efficiencies, dtype=float)
-        if eff.shape != (n,):
-            raise ValueError(
-                f"host_efficiencies must have shape ({n},), got {eff.shape}"
-            )
-        order = np.arange(n)
+        order = np.arange(hosts)
         # Same stream as ``default_rng(batch_index)`` (an int seed is
         # handed straight to PCG64) but skips default_rng's
         # seed-normalisation layer — measurable at thousands of batches
         # per shift.
         np.random.Generator(np.random.PCG64(batch_index)).shuffle(order)
-        scheduled = ScheduledMix.trusted(mix, order, eff[order].copy())
-    if run_seed is None:
-        batch_seed = batch_index
-    else:
-        from repro.parallel.seeding import child_seed
-
-        batch_seed = child_seed(run_seed, "site-batch", batch_index)
-    if planner is None:
-        planner = BatchPlanner(manager, policy)
-    _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
-    return PlannedBatch(
-        clock=clock,
-        batch_index=batch_index,
-        decision=decision,
-        scheduled=scheduled,
-        effective_caps=effective_caps,
-        batch_seed=int(batch_seed),
-        policy=policy,
-        budget_w=float(budget_w),
-        batch_budget_w=float(batch_budget_w),
-        quarantined=quarantined,
-    )
-
-
-def budget_only_schedule(fault_schedule) -> bool:
-    """Whether every event of a schedule is a ``BUDGET_CHANGE``.
-
-    A budget-only schedule touches admission and compliance accounting
-    but never the engine: no failed hosts, no sensor dropouts, and
-    :meth:`~repro.faults.schedule.FaultSchedule.engine_slice` is ``None``
-    at every clock.  Such batches can therefore stage through the
-    batched pipeline — their engine call is the plain fault-free physics
-    — which is exactly the shape the facility broker's composed leaf
-    schedules take (allocation steps only).  Anything else falls back to
-    the scalar :func:`execute_admitted_batch` path per cluster.
-    """
-    from repro.faults.schedule import FaultKind
-
-    return all(
-        event.kind is FaultKind.BUDGET_CHANGE
-        for event in fault_schedule.events
-    )
-
-
-def plan_shift_batch(
-    *,
-    clock: float,
-    batch_index: int,
-    admitted: Sequence[JobRequest],
-    decision: AdmissionDecision,
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    batch_budget_w: float,
-    quarantined: Tuple[int, ...],
-    run_seed: Optional[int],
-    planner: BatchPlanner,
-    uniform_hosts: bool = False,
-    injecting: bool = False,
-    fault_schedule=None,
-    degradation=None,
-    reaction_s: float = 1.0,
-    group_key: object = None,
-) -> PlannedBatch:
-    """Stage 1 for the *shift loop*: schedule and plan one batch.
-
-    The shift loop's scheduling differs from the streaming engine's —
-    :class:`Scheduler` shuffles the **whole cluster** (``arange(len(
-    cluster))`` under ``default_rng(batch_index)``) and takes the first
-    ``mix.total_nodes`` entries, where :func:`plan_admitted_batch`
-    permutes an exactly-sized subset.  This stage replicates the shift
-    loop's draw bit-for-bit, so the fused facility engine's staged
-    batches match scalar :func:`shift_rounds` execution on
-    heterogeneous clusters too.  ``uniform_hosts=True`` (an all-equal
-    efficiency vector) skips the physically inert shuffle and binds a
-    read-only slice of the cluster's efficiencies — every simulated
-    quantity is unchanged; only the never-recorded ``node_ids`` differ.
-
-    ``injecting=True`` plans a *budget-only* fault batch (see
-    :func:`budget_only_schedule`): caps through the same
-    :func:`~repro.faults.degradation.plan_with_degradation` ladder at
-    ``batch_budget_w``, served from the planner's memo
-    (:meth:`BatchPlanner.plan_degraded` — numerically identical to the
-    scalar path's fresh characterization and ladder run), with the
-    schedule attached for stage 3's compliance accounting.
-
-    ``policy`` must be the planner's own policy: the memo is keyed
-    without it.
-    """
-    if policy is not planner.policy:
-        raise ValueError("plan_shift_batch: policy is not planner.policy")
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    n = mix.total_nodes
-    if n > len(cluster):
-        raise ValueError(
-            f"mix {mix.name!r} needs {n} nodes but the partition has "
-            f"{len(cluster)}"
-        )
-    if uniform_hosts:
-        scheduled = ScheduledMix.trusted(
-            mix, _identity_order(n), cluster.efficiencies[:n]
-        )
-    else:
-        order = np.arange(len(cluster))
-        np.random.Generator(np.random.PCG64(batch_index)).shuffle(order)
         node_ids = order[:n]
         scheduled = ScheduledMix.trusted(
-            mix, node_ids, cluster.efficiencies[node_ids].copy()
+            mix, node_ids, host_efficiencies[node_ids]
         )
     if run_seed is None:
         batch_seed = batch_index
@@ -790,15 +528,27 @@ def plan_shift_batch(
     tier = "none"
     backoff_s = 0.0
     sim_budget_w: Optional[float] = None
-    if not injecting:
+    engine_faults = None
+    if fault_schedule is None:
         _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
-        fault_schedule = None
     else:
-        plan, effective_caps = planner.plan_degraded(
-            scheduled, batch_budget_w, degradation
-        )
+        if fault_schedule.sensor_dropout_at(clock):
+            from repro.faults.degradation import plan_with_degradation
+
+            power_model = planner.manager.model.power_model
+            plan = plan_with_degradation(
+                policy, batch_budget_w, host_count=n,
+                min_cap_w=power_model.min_cap_w, tdp_w=power_model.tdp_w,
+                config=degradation,
+            )
+            effective_caps = plan.caps_w
+        else:
+            plan, effective_caps = planner.plan_degraded(
+                scheduled, batch_budget_w, degradation
+            )
         tier, backoff_s = plan.tier, plan.backoff_s
         sim_budget_w = float(batch_budget_w)
+        engine_faults = fault_schedule.engine_slice(clock)
     return PlannedBatch(
         clock=clock,
         batch_index=batch_index,
@@ -810,12 +560,12 @@ def plan_shift_batch(
         budget_w=float(budget_w),
         batch_budget_w=float(batch_budget_w),
         quarantined=quarantined,
-        group_key=group_key,
         tier=tier,
         backoff_s=backoff_s,
         fault_schedule=fault_schedule,
         reaction_s=reaction_s,
         sim_budget_w=sim_budget_w,
+        engine_faults=engine_faults,
     )
 
 
@@ -828,9 +578,10 @@ _FINISH_INSTRUMENTS: Optional[tuple] = None
 def _finish_instruments(registry) -> tuple:
     global _FINISH_INSTRUMENTS
     cached = _FINISH_INSTRUMENTS
-    if cached is None or cached[0] is not registry:
+    key = (registry, registry.generation)
+    if cached is None or cached[0] != key:
         cached = (
-            registry,
+            key,
             registry.gauge("manager.site.utilization"),
             registry.histogram("manager.site.batch_duration_s"),
             registry.counter("manager.site.batches"),
@@ -844,14 +595,12 @@ def finish_planned_batch(planned: PlannedBatch, result,
                          scalars: Optional[tuple] = None) -> BatchExecution:
     """Stage 3: fold one simulated row back into a :class:`BatchExecution`.
 
-    The tail of :func:`execute_admitted_batch`, verbatim: duration from
-    the job critical path plus the ladder's ``backoff_s`` (identically
-    zero on fault-free batches), the record fields, the completion
-    clocks, and the same per-batch telemetry.  When the planned batch
-    carries a budget-only ``fault_schedule``, the scalar path's
-    compliance accounting runs too — overshoot against the launch budget
-    from the iteration power trace, plus the reaction window of
-    mid-batch budget drops — with the identical float operation order.
+    Duration from the job critical path plus the ladder's ``backoff_s``
+    (identically zero on fault-free batches), the record fields, the
+    completion clocks, and the per-batch telemetry.  When the planned
+    batch carries a ``fault_schedule``, compliance accounting runs too —
+    overshoot against the launch budget from the iteration power trace,
+    plus the reaction window of mid-batch budget drops.
 
     ``scalars``, when given, is ``(job_elapsed_s, duration, mean_power,
     energy, planned_overshoot)`` precomputed for this row —
@@ -957,6 +706,21 @@ def _group_overshoot(rows: Sequence[PlannedBatch], group_results,
     return np.sum(excess * durations, axis=1)
 
 
+def stack_key(batch: PlannedBatch) -> object:
+    """The stacked-pass group a planned batch joins in stage 2.
+
+    Batches with equal keys share one ``(S, hosts)`` engine pass; a
+    batch carrying ``engine_faults`` is keyed by itself, alone.
+    """
+    if batch.engine_faults is not None:
+        return id(batch)
+    return (
+        batch.group_key,
+        batch.mix.layout().job_boundaries.tobytes(),
+        batch.mix.common_iterations(),
+    )
+
+
 def execute_planned_batches(
     planned: Sequence[PlannedBatch],
     manager: PowerManager,
@@ -964,28 +728,24 @@ def execute_planned_batches(
 ) -> List[BatchExecution]:
     """Stage 2: simulate all planned batches in grouped vectorised passes.
 
-    Batches are grouped by job block structure (``job_boundaries``) and
-    iteration count — the preconditions of
+    Batches are grouped by :func:`stack_key`: job block structure
+    (``job_boundaries``) and iteration count — the preconditions of
     :func:`~repro.sim.batch.simulate_layout_batch` — plus each batch's
     ``group_key`` (the cross-site grouping context; ``None`` everywhere
     on single-site streams).  Each group runs as one ``(S, hosts)``
     engine pass; batches from *different clusters* with matching
-    structure therefore share a pass in the fused facility engine.
+    structure therefore share a pass in the fused facility engine.  A
+    batch that carries ``engine_faults`` runs as its own S=1 group with
+    that slice in its :class:`~repro.sim.execution.SimulationOptions`.
     Per-row bit-identity to the serial ``simulate_mix`` call makes
     grouping invisible in the results: only wall clock changes.
     Executions come back in input order.
     """
     from repro.sim.batch import simulate_layout_batch
 
-    groups: Dict[tuple, List[int]] = {}
+    groups: Dict[object, List[int]] = {}
     for i, batch in enumerate(planned):
-        layout = batch.mix.layout()
-        key = (
-            batch.group_key,
-            layout.job_boundaries.tobytes(),
-            batch.mix.common_iterations(),
-        )
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(stack_key(batch), []).append(i)
     results: List[object] = [None] * len(planned)
     scalars: List[Optional[tuple]] = [None] * len(planned)
     with span("manager.site.batched_step", batches=len(planned),
@@ -997,7 +757,8 @@ def execute_planned_batches(
                 np.stack([b.effective_caps for b in rows]),
                 np.stack([b.scheduled.efficiencies for b in rows]),
                 manager.model,
-                SimulationOptions(noise_std=noise_std),
+                SimulationOptions(noise_std=noise_std,
+                                  fault_schedule=rows[0].engine_faults),
                 seeds=[b.batch_seed for b in rows],
                 policy_names=[b.policy.name for b in rows],
                 budgets_w=[
@@ -1071,16 +832,24 @@ def run_site_simulation(
     charged when a budget drops *mid-batch* before the next admission
     round can re-plan (overshoot during that window is recorded in
     ``BatchRecord.overshoot_ws``).
+
+    Each round's batch runs as one S=1 :func:`execute_planned_batches`
+    pass, planned through a per-shift :class:`BatchPlanner`.
     """
     ensure_positive(budget_w, "budget_w")
+    manager = manager if manager is not None else PowerManager()
     injecting = fault_schedule is not None and fault_schedule.active
     with span("manager.site.run", policy=policy.name,
               budget_w=float(budget_w), arrivals=len(arrivals),
               hosts=len(cluster), injecting=injecting) as trace_sp:
-        result = _run_shift(
-            arrivals, cluster, policy, budget_w, admission, manager,
-            noise_std, max_batches, run_seed, fault_schedule, degradation,
-            reaction_s, injecting,
+        result = run_shift(
+            shift_rounds(
+                arrivals, cluster, budget_w, BatchPlanner(manager, policy),
+                admission=admission, max_batches=max_batches,
+                run_seed=run_seed, fault_schedule=fault_schedule,
+                degradation=degradation, reaction_s=reaction_s,
+            ),
+            manager, noise_std,
         )
         if trace_sp is not None:
             trace_sp.set_attribute("batches", len(result.batches))
@@ -1089,92 +858,60 @@ def run_site_simulation(
     return result
 
 
-def _run_shift(
-    arrivals: Sequence[Arrival],
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    admission: Optional[PowerAwareAdmission],
-    manager: Optional[PowerManager],
-    noise_std: float,
-    max_batches: int,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
-) -> SiteSimulationResult:
-    """The shift loop proper (see :func:`run_site_simulation`).
+def run_shift(rounds, manager: PowerManager,
+              noise_std: float) -> SiteSimulationResult:
+    """Drive one :func:`shift_rounds` generator to its result.
 
-    Drives :func:`shift_rounds` in its non-staged mode: the generator
-    never yields, so the first resume raises ``StopIteration`` carrying
-    the result — the identical statements of the historical inline loop
-    execute, in order.
+    Every yielded batch executes as its own S=1
+    :func:`execute_planned_batches` pass and is sent back.
     """
-    rounds = shift_rounds(
-        arrivals, cluster, policy, budget_w, admission, manager,
-        noise_std, max_batches, run_seed, fault_schedule, degradation,
-        reaction_s, injecting,
-    )
     try:
-        next(rounds)
+        batch = next(rounds)
+        while True:
+            (execution,) = execute_planned_batches(
+                [batch], manager, noise_std
+            )
+            batch = rounds.send(execution)
     except StopIteration as stop:
         return stop.value
-    raise RuntimeError("non-staged shift_rounds must not yield")
 
 
 def shift_rounds(
     arrivals: Sequence[Arrival],
     cluster: Cluster,
-    policy: Policy,
     budget_w: float,
-    admission: Optional[PowerAwareAdmission],
-    manager: Optional[PowerManager],
-    noise_std: float,
-    max_batches: int,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
-    planner: Optional[BatchPlanner] = None,
-    staged: bool = False,
-    uniform_hosts: bool = False,
-    group_key: object = None,
+    planner: BatchPlanner,
+    *,
+    admission: Optional[PowerAwareAdmission] = None,
+    max_batches: int = 100,
+    run_seed: Optional[int] = None,
+    fault_schedule=None,
+    degradation=None,
+    reaction_s: float = 1.0,
 ):
     """The shift loop as a resumable round generator.
 
-    In the default (non-staged) mode this *is* the scalar shift loop:
-    every admission round executes its batch inline via
-    :func:`execute_admitted_batch` and the generator yields nothing —
-    :func:`run_site_simulation` results are untouched.
-
-    ``staged=True`` (requires a ``planner``) turns each executable round
-    into a cooperative step instead: the round's batch is planned via
-    :func:`plan_shift_batch`, **yielded** to the driver, and the
-    driver ``send()``s back the :class:`BatchExecution` produced by a
-    (possibly cross-cluster) :func:`execute_planned_batches` pass.  The
-    fused facility engine drives one such generator per cluster in
-    lockstep, fusing the yielded batches into shared stacked passes.
-    Control flow, RNG draws, seeds, and accumulation order are the
-    scalar loop's own — the statements are literally shared — so staged
-    results are bit-identical.  Rounds that cannot stage (an active
-    schedule with anything beyond ``BUDGET_CHANGE`` events — see
-    :func:`budget_only_schedule`) fall back to the scalar execute inline,
-    per batch, without breaking the generator protocol.
+    Every executable admission round plans its batch via
+    :func:`plan_batch` against ``planner`` (whose policy the shift
+    runs), **yields** the :class:`PlannedBatch`, and expects the caller
+    to ``send()`` back the :class:`BatchExecution` of an
+    :func:`execute_planned_batches` pass.  :func:`run_shift` runs one
+    S=1 pass per batch; the fused facility engine drives one generator
+    per cluster in lockstep and fuses the yielded batches into shared
+    stacked passes.  Control flow, RNG draws, seeds, and accumulation
+    order live here only, so every caller produces identical results.
 
     The generator's return value (via ``StopIteration.value``) is the
     :class:`SiteSimulationResult`.
     """
-    if staged and planner is None:
-        raise ValueError("staged shift_rounds requires a planner")
-    stageable = staged and (
-        not injecting or budget_only_schedule(fault_schedule)
-    )
+    policy = planner.policy
+    injecting = fault_schedule is not None and fault_schedule.active
     if injecting:
         # Clock points at which fault state can change: re-check the
         # world there when an admission round comes up empty.
         fault_boundaries = fault_schedule.boundaries()
+    else:
+        fault_schedule = None
     if not arrivals:
         raise ValueError("need at least one arrival")
     # JobRequest carries its lifecycle state, so submitting the caller's
@@ -1184,10 +921,11 @@ def shift_rounds(
         dataclasses.replace(a, request=dataclasses.replace(a.request))
         for a in sorted(arrivals, key=lambda a: a.time_s)
     ]
-    manager = manager if manager is not None else PowerManager()
     admission = admission if admission is not None else PowerAwareAdmission(
-        model=manager.model
+        model=planner.manager.model
     )
+    efficiencies = cluster.efficiencies
+    uniform = bool((efficiencies == efficiencies[0]).all())
 
     queue = JobQueue()
     arrival_time: Dict[str, float] = {}
@@ -1216,10 +954,9 @@ def shift_rounds(
             continue
 
         # Query the fault timeline at the site clock.  Fault-free these
-        # stay the caller's budget and full cluster, so the historical
-        # code path is untouched.
+        # stay the caller's budget and full cluster.
         batch_budget_w = budget_w
-        batch_cluster = cluster
+        host_eff = efficiencies
         quarantined: Tuple[int, ...] = ()
         if injecting:
             batch_budget_w = fault_schedule.budget_at(clock, budget_w)
@@ -1229,15 +966,12 @@ def shift_rounds(
                     i for i in range(len(cluster)) if i not in failed_hosts
                 ]
                 quarantined = tuple(sorted(failed_hosts))
-                if healthy:
-                    batch_cluster = cluster.subset(healthy)
-                else:
-                    batch_cluster = None  # total outage: wait it out
+                # An empty partition is a total outage: wait it out.
+                host_eff = efficiencies[healthy]
 
-        can_admit = batch_cluster is not None and batch_budget_w > 0
+        can_admit = len(host_eff) > 0 and batch_budget_w > 0
         decision = admission.decide(
-            queue, batch_budget_w, nodes_available=len(batch_cluster),
-            mark=True,
+            queue, batch_budget_w, nodes_available=len(host_eff), mark=True,
         ) if can_admit else None
         if decision is None or not decision.admitted:
             if injecting:
@@ -1254,47 +988,22 @@ def shift_rounds(
             failed.append(stuck.name)
             continue
 
-        admitted = [queue.get(name) for name in decision.admitted]
-        if stageable:
-            planned = plan_shift_batch(
-                clock=clock,
-                batch_index=len(batches),
-                admitted=admitted,
-                decision=decision,
-                cluster=batch_cluster,
-                policy=policy,
-                budget_w=budget_w,
-                batch_budget_w=batch_budget_w,
-                quarantined=quarantined,
-                run_seed=run_seed,
-                planner=planner,
-                uniform_hosts=uniform_hosts,
-                injecting=injecting,
-                fault_schedule=fault_schedule,
-                degradation=degradation,
-                reaction_s=reaction_s,
-                group_key=group_key,
-            )
-            execution = yield planned
-        else:
-            execution = execute_admitted_batch(
-                clock=clock,
-                batch_index=len(batches),
-                admitted=admitted,
-                decision=decision,
-                batch_cluster=batch_cluster,
-                policy=policy,
-                budget_w=budget_w,
-                batch_budget_w=batch_budget_w,
-                quarantined=quarantined,
-                manager=manager,
-                noise_std=noise_std,
-                run_seed=run_seed,
-                fault_schedule=fault_schedule,
-                degradation=degradation,
-                reaction_s=reaction_s,
-                injecting=injecting,
-            )
+        execution = yield plan_batch(
+            clock=clock,
+            batch_index=len(batches),
+            admitted=[queue.get(name) for name in decision.admitted],
+            decision=decision,
+            host_efficiencies=host_eff,
+            planner=planner,
+            budget_w=budget_w,
+            batch_budget_w=batch_budget_w,
+            quarantined=quarantined,
+            run_seed=run_seed,
+            uniform_hosts=uniform,
+            fault_schedule=fault_schedule,
+            degradation=degradation,
+            reaction_s=reaction_s,
+        )
         batches.append(execution.record)
         for name, completion in zip(execution.job_names,
                                     execution.completion_s):

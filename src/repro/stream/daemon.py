@@ -228,6 +228,14 @@ class StreamDaemon:
             job = message["job"]
             try:
                 request = msg.job_request_from_payload(job)
+                if request.node_count > len(engine.cluster):
+                    # O(1) capacity check before anything is queued or
+                    # characterized: such a job could never run here.
+                    return msg.error_message(
+                        "job larger than the cluster", name=request.name,
+                        node_count=request.node_count,
+                        cluster_nodes=len(engine.cluster),
+                    )
                 if engine.max_pending is not None and \
                         len(engine.queue.pending()) >= engine.max_pending:
                     # Surface backpressure as a reply, not a silent

@@ -3,16 +3,12 @@
 Two operating modes over one :class:`~repro.stream.events.EventLoop`:
 
 **Replay (drain) mode** — :func:`stream_site_simulation` runs a pre-built
-arrival list through the engine with the *exact* round semantics of
-:func:`~repro.manager.site_simulation.run_site_simulation`: one batch in
-flight at a time on the whole cluster, admission whenever the cluster
-drains, the same per-round accounting (an empty-queue clock jump, a
-dropped unschedulable head, a fault-boundary wait, and an executed batch
-each consume one round of ``max_batches``).  Both loops execute batches
-through the shared
-:func:`~repro.manager.site_simulation.execute_admitted_batch` physics, so
-a replay is **bit-identical** to the batch call — the property suite pins
-this.
+arrival list through the engine with the round semantics of
+:func:`~repro.manager.site_simulation.run_site_simulation`: replay drains
+the engine's arrivals and drives the same
+:func:`~repro.manager.site_simulation.shift_rounds` generator, one S=1
+batch pass per round, so a replay is **bit-identical** to the batch call
+— the property suite pins this.
 
 **Rolling mode** — the long-lived service shape of ROADMAP item 1:
 multiple batches in flight, `PowerAwareAdmission` re-run on every
@@ -27,6 +23,10 @@ In rolling mode each in-flight batch reserves its admitted-set estimate
 (`decision.admitted_power_w`) out of the facility budget and is launched
 with that reservation as its budget, so the sum of concurrent batch
 budgets never exceeds the facility budget in force at their launches.
+Every admission flush is planned through the engine's memoising
+:class:`~repro.manager.site_simulation.BatchPlanner` and executed in one
+:func:`~repro.manager.site_simulation.execute_planned_batches` call — one
+``(S, hosts)`` engine pass per job-structure group.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from repro.manager.site_simulation import (
     BatchPlanner,
     BatchRecord,
     SiteSimulationResult,
-    execute_admitted_batch,
     execute_planned_batches,
-    plan_admitted_batch,
+    plan_batch,
+    run_shift,
+    shift_rounds,
 )
 from repro.stream.events import Event, EventKind, EventLoop
 from repro.telemetry import emit, enabled, get_registry, span
@@ -117,23 +118,16 @@ class SiteStreamEngine:
         simulated time, emitting a ``stream.engine``/``tick`` event with
         the stats snapshot (the daemon's pub/sub feed).
     batched_physics:
-        Rolling-mode only.  When True, every admission flush executes all
-        batches it admitted through the staged
-        :func:`~repro.manager.site_simulation.plan_admitted_batch` /
-        :func:`~repro.manager.site_simulation.execute_planned_batches`
-        pipeline — one vectorised ``(S, hosts)`` engine pass per job
-        structure group instead of one scalar call per batch — with
-        memoised characterization/allocation planning.  Bit-identical to
-        the scalar path (pinned by the stream property suite).  Runs with
-        an *active* fault schedule fall back to scalar per-batch physics
-        (fault windows are sliced at each batch's own clock).
+        Accepted for compatibility and selects nothing: every engine
+        runs its batches through the staged batch pipeline.  Like the
+        other rolling-mode knobs, ``True`` is rejected in replay mode.
     admission_interval_s:
         Rolling-mode only.  When set, admission is *quantised*: arrivals
         and capacity events schedule one deferred ADMISSION flush this
         far ahead instead of re-running admission inline, so a burst of
         events pays for one pass and co-arriving batches launch together
-        (the high-rate configuration that feeds ``batched_physics`` wide
-        groups).  ``None`` keeps the classic admit-on-every-event
+        (the high-rate configuration that feeds the stacked engine pass
+        wide groups).  ``None`` keeps the classic admit-on-every-event
         semantics.
     per_job_batches:
         Rolling-mode only.  When True, each admitted job launches as its
@@ -175,7 +169,7 @@ class SiteStreamEngine:
             raise ValueError(
                 "batched_physics, admission_interval_s and per_job_batches "
                 "are rolling-mode knobs; replay mode is pinned to the "
-                "batch shift loop's scalar semantics"
+                "batch shift loop's semantics"
             )
         self.cluster = cluster
         self.policy = policy
@@ -195,7 +189,6 @@ class SiteStreamEngine:
         self.record_jobs = record_jobs
         self.record_batches = record_batches
         self.tick_interval_s = tick_interval_s
-        self.batched_physics = batched_physics
         self.admission_interval_s = admission_interval_s
         self.per_job_batches = per_job_batches
 
@@ -221,17 +214,14 @@ class SiteStreamEngine:
         self._admission_event: Optional[Event] = None
         self._admission_scheduled = False
         # Memoised planner for the staged batch pipeline.
-        self._planner = BatchPlanner(self.manager, policy) \
-            if batched_physics else None
+        self._planner = BatchPlanner(self.manager, policy)
         self._host_eff = cluster.efficiencies
         # Homogeneous-cluster fast path: when every host efficiency is
         # equal, any subset's efficiency vector is the same constant
         # slice, so the per-batch gather (and the physically inert
-        # scheduler shuffle) can be skipped.  One shared read-only
-        # vector per batch size.
+        # scheduler shuffle) can be skipped.
         eff = cluster.efficiencies
         self._uniform_hosts = bool((eff == eff[0]).all()) if len(eff) else True
-        self._uniform_eff: Dict[int, object] = {}
         # Incremental-admission gate: set to the (unreserved watts, free
         # hosts) snapshot whenever a full admission pass deferred every
         # pending job; while capacity stays at that snapshot, a new
@@ -344,20 +334,13 @@ class SiteStreamEngine:
         if enabled():
             emit("stream.engine", "job_failed", name=stuck.name)
 
-    def _fault_state(self) -> Tuple[float, Optional[Cluster], Tuple[int, ...],
-                                    Set[int]]:
-        """(budget in force, schedulable cluster, quarantined, failed ids)."""
+    def _fault_state(self) -> Tuple[float, Tuple[int, ...], Set[int]]:
+        """(budget in force, quarantined, failed ids)."""
         if not self.injecting:
-            return self.budget_w, self.cluster, (), set()
+            return self.budget_w, (), set()
         budget = self.fault_schedule.budget_at(self.clock, self.budget_w)
         failed_hosts = set(self.fault_schedule.failed_hosts_at(self.clock))
-        if not failed_hosts:
-            return budget, self.cluster, (), set()
-        healthy = [i for i in range(len(self.cluster))
-                   if i not in failed_hosts]
-        quarantined = tuple(sorted(failed_hosts))
-        sub = self.cluster.subset(healthy) if healthy else None
-        return budget, sub, quarantined, failed_hosts
+        return budget, tuple(sorted(failed_hosts)), failed_hosts
 
     # ------------------------------------------------------------------
     # rolling mode
@@ -424,15 +407,6 @@ class SiteStreamEngine:
             )
             yield sub, (name,)
 
-    def _subset_eff(self, count: int):
-        """The shared constant efficiency slice for a uniform cluster."""
-        eff = self._uniform_eff.get(count)
-        if eff is None:
-            eff = self._host_eff[:count].copy()
-            eff.setflags(write=False)
-            self._uniform_eff[count] = eff
-        return eff
-
     def _try_admit_rolling(self) -> None:
         """Admit against free hosts and unreserved budget; launch batches.
 
@@ -443,22 +417,18 @@ class SiteStreamEngine:
         Structured as collect-then-execute: admission decisions and
         occupancy updates happen first (each launch group reserves its
         hosts and watts immediately, so successive ``decide`` calls see
-        the shrunken capacity), then all collected batches execute — as
-        one vectorised grouped pass when ``batched_physics`` is on, or
-        scalar per-batch calls otherwise.  Execution has no feedback into
-        admission (completions only land via future BATCH_COMPLETE
-        events), so the split cannot change any decision; per-row
-        bit-identity of the batched step makes the two execute paths
-        indistinguishable in the results.
+        the shrunken capacity), then all collected batches execute in one
+        grouped pass.  Execution has no feedback into admission
+        (completions only land via future BATCH_COMPLETE events), so the
+        split cannot change any decision.
         """
         collected: List[Tuple] = []  # (batch_index, sub_decision, names,
         #                              host_ids, share_w, quarantined)
         while self.queue.pending_count():
-            budget_now, schedulable, quarantined, failed_hosts = \
-                self._fault_state()
+            budget_now, quarantined, failed_hosts = self._fault_state()
             free_healthy = sorted(self._free_ids - failed_hosts)
             avail_w = budget_now - self._reserved_w
-            if not free_healthy or avail_w <= 0 or schedulable is None:
+            if not free_healthy or avail_w <= 0:
                 break
             decision = self.admission.decide(
                 self.queue, avail_w, nodes_available=len(free_healthy),
@@ -497,60 +467,37 @@ class SiteStreamEngine:
             self._execute_collected(collected)
 
     def _execute_collected(self, collected: List[Tuple]) -> None:
-        """Execute one admission pass's launch groups; push completions."""
-        use_batched = self.batched_physics and not self.injecting
-        with span("stream.engine.admit", batches=len(collected),
-                  batched=use_batched) as sp:
-            if use_batched:
-                uniform = self._uniform_hosts
-                planned = [
-                    plan_admitted_batch(
-                        clock=self.clock,
-                        batch_index=batch_index,
-                        admitted=[self.queue.get(n) for n in names],
-                        decision=sub_decision,
-                        host_efficiencies=(
-                            self._subset_eff(len(host_ids)) if uniform
-                            else self._host_eff[host_ids]
-                        ),
-                        policy=self.policy,
-                        budget_w=share_w,
-                        batch_budget_w=share_w,
-                        quarantined=quarantined,
-                        manager=self.manager,
-                        run_seed=self.run_seed,
-                        planner=self._planner,
-                        uniform_hosts=uniform,
-                    )
-                    for batch_index, sub_decision, names, host_ids,
-                    share_w, quarantined in collected
-                ]
-                executions = execute_planned_batches(
-                    planned, self.manager, self.noise_std
+        """Plan and execute one admission pass's launch groups in one
+        grouped pass; push their completions."""
+        uniform = self._uniform_hosts
+        faults = self.fault_schedule if self.injecting else None
+        with span("stream.engine.admit", batches=len(collected)) as sp:
+            planned = [
+                plan_batch(
+                    clock=self.clock,
+                    batch_index=batch_index,
+                    admitted=[self.queue.get(n) for n in names],
+                    decision=sub_decision,
+                    host_efficiencies=(
+                        self._host_eff if uniform
+                        else self._host_eff[host_ids]
+                    ),
+                    planner=self._planner,
+                    budget_w=share_w,
+                    batch_budget_w=share_w,
+                    quarantined=quarantined,
+                    run_seed=self.run_seed,
+                    uniform_hosts=uniform,
+                    fault_schedule=faults,
+                    degradation=self.degradation,
+                    reaction_s=self.reaction_s,
                 )
-            else:
-                executions = [
-                    execute_admitted_batch(
-                        clock=self.clock,
-                        batch_index=batch_index,
-                        admitted=[self.queue.get(n) for n in names],
-                        decision=sub_decision,
-                        batch_cluster=self.cluster.subset(host_ids),
-                        policy=self.policy,
-                        budget_w=share_w,
-                        batch_budget_w=share_w,
-                        quarantined=quarantined,
-                        manager=self.manager,
-                        noise_std=self.noise_std,
-                        run_seed=self.run_seed,
-                        fault_schedule=self.fault_schedule,
-                        degradation=self.degradation,
-                        reaction_s=self.reaction_s,
-                        injecting=self.injecting,
-                    )
-                    for batch_index, sub_decision, names, host_ids,
-                    share_w, quarantined in collected
-                ]
+                for batch_index, sub_decision, names, host_ids,
+                share_w, quarantined in collected
+            ]
+            executions = execute_planned_batches(
+                planned, self.manager, self.noise_std
+            )
             if sp is not None:
                 sp.set_attribute(
                     "jobs", sum(len(c[2]) for c in collected)
@@ -698,109 +645,58 @@ class SiteStreamEngine:
     def replay(self, max_rounds: int = 100) -> SiteSimulationResult:
         """Drain the attached source with the batch shift loop's semantics.
 
-        Round accounting matches :func:`run_site_simulation` exactly: an
-        empty-queue clock jump, a fault-boundary wait, a dropped
-        unschedulable head, and an executed batch each consume one of
-        ``max_rounds``.
+        Every queued arrival runs through
+        :func:`~repro.manager.site_simulation.shift_rounds` with the
+        engine's planner and base budget, so round accounting matches
+        :func:`run_site_simulation` exactly: an empty-queue clock jump, a
+        fault-boundary wait, a dropped unschedulable head, and an
+        executed batch each consume one of ``max_rounds``.  Backpressure
+        and non-arrival events are rolling-mode behaviours; replay
+        ignores them.
         """
         if self.rolling:
             raise ValueError("replay() is drain mode; rolling engines run()")
-        boundaries = self.fault_schedule.boundaries() if self.injecting \
-            else ()
-        for _ in range(max_rounds):
-            # Deliver everything that has arrived by the clock.
-            while True:
-                nxt = self.loop.peek()
-                if nxt is None or nxt.kind is not EventKind.ARRIVAL \
-                        or nxt.time_s > self.clock:
-                    break
-                event = self.loop.pop()
-                self._on_arrival(event.payload["request"], event.time_s)
-                if self._source is not None:
-                    self._pull_arrival()
-            if not self.queue.pending():
-                jump = self._next_arrival_time()
-                if jump is None:
-                    break
-                self.clock = jump
-                continue
-
-            budget_now, schedulable, quarantined, _ = self._fault_state()
-            can_admit = schedulable is not None and budget_now > 0
-            decision = self.admission.decide(
-                self.queue, budget_now, nodes_available=len(schedulable),
-                mark=True,
-            ) if can_admit else None
-            if decision is None or not decision.admitted:
-                if self.injecting:
-                    upcoming = [t for t in boundaries if t > self.clock]
-                    if upcoming:
-                        self.clock = upcoming[0]
-                        continue
-                self._fail_head()
-                continue
-
-            execution = execute_admitted_batch(
-                clock=self.clock,
-                batch_index=self._batch_counter,
-                admitted=[self.queue.get(n) for n in decision.admitted],
-                decision=decision,
-                batch_cluster=schedulable,
-                policy=self.policy,
-                budget_w=self.base_budget_w,
-                batch_budget_w=budget_now,
-                quarantined=quarantined,
-                manager=self.manager,
-                noise_std=self.noise_std,
-                run_seed=self.run_seed,
+        result = run_shift(
+            shift_rounds(
+                self._drain_arrivals(), self.cluster, self.base_budget_w,
+                self._planner, admission=self.admission,
+                max_batches=max_rounds, run_seed=self.run_seed,
                 fault_schedule=self.fault_schedule,
-                degradation=self.degradation,
-                reaction_s=self.reaction_s,
-                injecting=self.injecting,
-            )
-            self._batch_counter += 1
-            self._account_batch(execution)
-            self.clock = execution.record.end_s
-
-        truncated = tuple(r.name for r in self.queue.pending()) \
-            + self._remaining_arrivals()
-        return SiteSimulationResult(
-            policy_name=self.policy.name,
-            budget_w=self.base_budget_w,
-            batches=tuple(self.batches),
-            completed=tuple(self.completed),
-            never_admitted=tuple(self.failed),
-            job_turnaround_s=dict(self.turnaround_s),
-            fault_schedule_name=self.fault_schedule.name
-            if self.injecting else "",
-            truncated=truncated,
+                degradation=self.degradation, reaction_s=self.reaction_s,
+            ),
+            self.manager, self.noise_std,
         )
+        stats = self.stats
+        for record in result.batches:
+            stats.batches += 1
+            stats.energy_j += record.energy_j
+            stats.overshoot_ws += record.overshoot_ws
+        for turnaround in result.job_turnaround_s.values():
+            stats.turnaround_sum_s += turnaround
+            stats.turnaround_max_s = max(stats.turnaround_max_s, turnaround)
+        stats.jobs_completed += len(result.completed)
+        stats.jobs_failed += len(result.never_admitted)
+        stats.clock_s = self.clock = result.makespan_s
+        if self.record_batches:
+            self.batches.extend(result.batches)
+        if self.record_jobs:
+            self.completed.extend(result.completed)
+            self.failed.extend(result.never_admitted)
+            self.turnaround_s.update(result.job_turnaround_s)
+        return result
 
-    def _next_arrival_time(self) -> Optional[float]:
-        nxt = self.loop.peek()
-        while nxt is not None and nxt.kind is not EventKind.ARRIVAL:
-            # Drain non-arrival events (fault boundaries) that replay
-            # semantics handle inline off the heap.
-            self.loop.pop()
-            nxt = self.loop.peek()
-        return nxt.time_s if nxt is not None else None
-
-    def _remaining_arrivals(self) -> Tuple[str, ...]:
-        names: List[str] = []
+    def _drain_arrivals(self) -> List[Arrival]:
+        """Every arrival still queued on the timeline or in the source."""
+        arrivals: List[Arrival] = []
         while self.loop:
             event = self.loop.pop()
             if event.kind is EventKind.ARRIVAL:
-                names.append(event.payload["request"].name)
-                if self._source is not None:
-                    self._pull_arrival()
-        while self._source is not None:
-            try:
-                arrival = next(self._source)
-            except StopIteration:
-                self._source = None
-                break
-            names.append(arrival.request.name)
-        return tuple(names)
+                arrivals.append(Arrival(event.time_s, event.payload["request"]))
+        if self._source is not None:
+            arrivals.extend(self._source)
+            self._source = None
+        self.stats.arrivals += len(arrivals)
+        return arrivals
 
 
 def stream_site_simulation(

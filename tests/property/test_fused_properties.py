@@ -7,14 +7,26 @@ trace-driven budgets — including non-uniform (heterogeneous-efficiency)
 clusters, whose staged batches replicate the shift loop's whole-cluster
 shuffle draw, and budget-only feeder-dip schedules, which stage through
 the batched pipeline with the degradation ladder and compliance
-accounting split across stages.
+accounting split across stages.  Both engines' leaf results also equal
+the frozen scalar reference (``tests/batch_oracle.py``) run on each
+cluster's own leaf inputs.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.registry import create_policy
 from repro.faults.schedule import FaultSchedule, random_schedule
-from repro.hierarchy import ClusterSpec, FacilityConfig, run_facility_simulation
+from repro.hierarchy import (
+    ClusterSpec,
+    FacilityConfig,
+    build_cluster,
+    cluster_arrivals,
+    run_facility_simulation,
+)
+from repro.hierarchy.facility import _leaf_schedule, _plan_facility
+from repro.parallel.seeding import child_seed
+from tests.batch_oracle import oracle_site_simulation
 
 
 @st.composite
@@ -23,8 +35,8 @@ def cluster_specs(draw, index: int = 0,
     schedule = None
     if with_faults and draw(st.booleans()):
         if draw(st.booleans()):
-            # Engine-applicable faults: the fused engine must fall back
-            # to the scalar path for this cluster and still agree.
+            # Engine-applicable faults: faulted batches run as their own
+            # S=1 stacked passes and must still agree.
             schedule = random_schedule(
                 duration_s=40.0,
                 host_count=8,
@@ -107,3 +119,36 @@ class TestFusedIdentity:
         # (degradation ladder + compliance accounting), not the no-op
         # fault-free path.
         assert len(set(serial.budgets_w)) > 1
+
+
+class TestFacilityMatchesOracle:
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_leaf_results_equal_frozen_path(self, seed, data):
+        """Every cluster's shift, fused and sharded, equals the frozen
+        scalar path run on that cluster's base budget, composed leaf
+        schedule and run seed."""
+        specs = tuple(
+            data.draw(cluster_specs(index=i, with_faults=True))
+            for i in range(2)
+        )
+        config = FacilityConfig(
+            clusters=specs, budget_w=0.7 * 16 * 240.0,
+            window_s=10.0, horizon_s=30.0, seed=seed,
+        )
+        plan = _plan_facility(config)
+        expected = [
+            oracle_site_simulation(
+                cluster_arrivals(spec), build_cluster(spec, seed),
+                create_policy(config.policy), float(plan.allocations_w[i][0]),
+                noise_std=config.noise_std, max_batches=config.max_batches,
+                run_seed=child_seed(seed, "facility-cluster", spec.name),
+                fault_schedule=_leaf_schedule(
+                    spec, plan.epochs, plan.allocations_w[i], config.name
+                ),
+            )
+            for i, spec in enumerate(specs)
+        ]
+        for engine in ("sharded", "fused"):
+            result = run_facility_simulation(config, workers=1, engine=engine)
+            assert [c.result for c in result.clusters] == expected

@@ -6,6 +6,11 @@ pre-built arrival list (fault-free) produces *bit-identical* results to
 turnarounds, same energy, same truncation split.  Hypothesis drives
 random arrival lists, budgets, policies, and round limits through both
 loops and compares the full result objects.
+
+Every site loop runs its batches through the staged pipeline; the
+frozen scalar reference in ``tests/batch_oracle.py`` is the oracle the
+rolling engine, the shift loop and replay are compared against, with
+and without fault schedules of every kind.
 """
 
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from repro.manager.site_simulation import Arrival, run_site_simulation
 from repro.stream.arrivals import replay_stream
 from repro.stream.engine import SiteStreamEngine, stream_site_simulation
 from repro.workload.kernel import KernelConfig
+from tests.batch_oracle import OracleStreamEngine, oracle_site_simulation
 
 CLUSTER = Cluster(node_count=10, variation=None, seed=0)
 
@@ -196,26 +202,24 @@ def fault_schedules(draw):
 
 
 class TestBatchedPhysicsIdentity:
-    """The tentpole contract: ``batched_physics=True`` is bit-identical.
+    """The rolling engine's stacked passes equal the frozen scalar path.
 
     Routing concurrent in-flight batches through one stacked
-    ``simulate_layout_batch`` call must reproduce the scalar per-batch
-    engine float for float: same stats, same batch records, same
-    turnarounds.  Hypothesis sweeps policies, budgets, clusters with and
-    without hardware variation, fault schedules (which force the scalar
-    fallback but must not perturb results), per-job splitting, quantised
-    admission windows, and run seeds.
+    ``simulate_layout_batch`` call must reproduce the frozen per-batch
+    reference engine float for float: same stats, same batch records,
+    same turnarounds.  Hypothesis sweeps policies, budgets, clusters with
+    and without hardware variation, fault schedules, per-job splitting,
+    quantised admission windows, and run seeds.
     """
 
     def _run_pair(self, specs, cluster, policy, budget, *, seed,
                   fault_schedule=None, interval=None, per_job=True):
-        def run(batched):
-            engine = SiteStreamEngine(
+        def run(engine_cls):
+            engine = engine_cls(
                 cluster, create_policy(policy), budget,
                 rolling=True, max_pending=32,
                 record_jobs=True, record_batches=True,
                 run_seed=seed, fault_schedule=fault_schedule,
-                batched_physics=batched,
                 admission_interval_s=interval,
                 per_job_batches=per_job,
             )
@@ -223,8 +227,8 @@ class TestBatchedPhysicsIdentity:
             stats = engine.run()
             return stats, engine
 
-        stats_b, engine_b = run(True)
-        stats_s, engine_s = run(False)
+        stats_b, engine_b = run(SiteStreamEngine)
+        stats_s, engine_s = run(OracleStreamEngine)
         assert stats_b == stats_s
         assert engine_b.batches == engine_s.batches
         assert engine_b.turnaround_s == engine_s.turnaround_s
@@ -254,6 +258,102 @@ class TestBatchedPhysicsIdentity:
     @settings(max_examples=15, deadline=None)
     def test_fault_schedule_identity(self, specs, policy, budget,
                                      schedule, interval):
-        """Active faults force the scalar fallback without divergence."""
+        """Budget drops and host failures: staged rows, same results."""
         self._run_pair(specs, CLUSTER, policy, budget, seed=7,
                        fault_schedule=schedule, interval=interval)
+
+
+@st.composite
+def any_fault_schedules(draw):
+    """An active schedule mixing every fault kind the site loops replay:
+    budget drops, host failure (quarantine), sensor dropout, stuck and
+    erroring caps, and noise bursts."""
+    schedule = FaultSchedule(name="prop-any-faults")
+    kinds = draw(st.lists(st.sampled_from(
+        ["budget", "failure", "dropout", "stuck", "error", "burst"]
+    ), min_size=1, max_size=3, unique=True))
+    start = st.floats(0.0, 30.0, allow_nan=False)
+    window = st.floats(3.0, 30.0, allow_nan=False)
+    hosts = st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)
+    for kind in kinds:
+        t = draw(start)
+        if kind == "budget":
+            schedule = schedule.budget_drop(
+                t, draw(st.floats(500.0, 1500.0, allow_nan=False))
+            ).budget_restore(t + draw(window), 4000.0)
+        elif kind == "failure":
+            failed = draw(hosts)
+            schedule = schedule.node_failure(t, host_ids=failed) \
+                .node_recovery(t + draw(window), host_ids=failed)
+        elif kind == "dropout":
+            schedule = schedule.sensor_dropout(t, draw(window))
+        elif kind == "stuck":
+            schedule = schedule.cap_stuck(
+                t, draw(hosts), draw(st.floats(140.0, 230.0)),
+                duration_s=draw(window),
+            )
+        elif kind == "error":
+            schedule = schedule.cap_error(t, draw(hosts),
+                                          duration_s=draw(window))
+        else:
+            schedule = schedule.noise_burst(
+                t, draw(window), draw(st.floats(0.01, 0.1))
+            )
+    return schedule
+
+
+class TestFaultKindsMatchOracle:
+    """Every fault kind runs staged in all three site loops and equals
+    the frozen scalar reference float for float."""
+
+    @given(arrivals=arrival_lists(), policy=all_policies, budget=budgets,
+           seed=seeds, schedule=any_fault_schedules(),
+           cluster=st.sampled_from([CLUSTER, VARIED_CLUSTER]))
+    @settings(max_examples=20, deadline=None)
+    def test_shift_and_replay_match_oracle(self, arrivals, policy, budget,
+                                           seed, schedule, cluster):
+        expected = oracle_site_simulation(
+            arrivals, cluster, create_policy(policy), budget,
+            run_seed=seed, fault_schedule=schedule,
+        )
+        for loop in (run_site_simulation, stream_site_simulation):
+            assert loop(
+                arrivals, cluster, create_policy(policy), budget,
+                run_seed=seed, fault_schedule=schedule,
+            ) == expected
+
+    @given(arrivals=arrival_lists(), policy=all_policies, budget=budgets,
+           failed=st.lists(st.integers(0, 9), min_size=1, max_size=4,
+                           unique=True),
+           start=st.floats(0.0, 10.0, allow_nan=False),
+           window=st.floats(10.0, 40.0, allow_nan=False))
+    @settings(max_examples=15, deadline=None)
+    def test_quarantine_on_varied_hosts_matches_oracle(
+            self, arrivals, policy, budget, failed, start, window):
+        """Quarantined hosts leave the schedulable partition: on a varied
+        cluster every batch during the outage draws from the survivors'
+        efficiencies exactly as the frozen path's host subset does."""
+        schedule = FaultSchedule(name="prop-quarantine") \
+            .node_failure(start, host_ids=failed) \
+            .node_recovery(start + window, host_ids=failed)
+        expected = oracle_site_simulation(
+            arrivals, VARIED_CLUSTER, create_policy(policy), budget,
+            fault_schedule=schedule,
+        )
+        for loop in (run_site_simulation, stream_site_simulation):
+            assert loop(
+                arrivals, VARIED_CLUSTER, create_policy(policy), budget,
+                fault_schedule=schedule,
+            ) == expected
+
+    @given(specs=arrival_specs(), policy=all_policies, budget=budgets,
+           schedule=any_fault_schedules(),
+           cluster=st.sampled_from([CLUSTER, VARIED_CLUSTER]),
+           interval=st.sampled_from([None, 3.0]), per_job=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_rolling_matches_oracle(self, specs, policy, budget, schedule,
+                                    cluster, interval, per_job):
+        TestBatchedPhysicsIdentity()._run_pair(
+            specs, cluster, policy, budget, seed=7, fault_schedule=schedule,
+            interval=interval, per_job=per_job,
+        )

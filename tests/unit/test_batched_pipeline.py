@@ -1,18 +1,19 @@
-"""Unit tests: the staged fault-free batch pipeline and its caches.
+"""Unit tests: the staged batch pipeline and its caches.
 
-The streaming engine's vectorised path decomposes
-``execute_admitted_batch`` into ``plan_admitted_batch`` →
-``execute_planned_batches`` → ``finish_planned_batch``.  These tests pin
-the decomposition's contract at the function level — bit-identity to the
-monolithic call, memo-hit object reuse, trusted-constructor semantics,
-and the stacked-layout identity cache — independently of the event loop
-(which the stream property suite covers end to end).
+Every site batch runs ``plan_batch`` → ``execute_planned_batches`` →
+``finish_planned_batch``.  These tests pin the pipeline's contract at
+the function level — bit-identity to the frozen scalar reference
+(``tests/batch_oracle.py``), memo-hit object reuse, bounded memo
+levels, trusted-constructor semantics, and the stacked-layout identity
+cache — independently of the event loop (which the stream property
+suite covers end to end).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.registry import create_policy
+from repro.faults.schedule import FaultSchedule
 from repro.hardware.cluster import Cluster
 from repro.manager.admission import AdmissionDecision
 from repro.manager.power_manager import PowerManager
@@ -20,13 +21,13 @@ from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix, Scheduler
 from repro.manager.site_simulation import (
     BatchPlanner,
-    execute_admitted_batch,
     execute_planned_batches,
-    plan_admitted_batch,
+    plan_batch,
 )
 from repro.sim import batch as sim_batch
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
+from tests.batch_oracle import execute_admitted_batch
 
 
 def _request(name, nodes=3, intensity=8.0, iterations=5, hint=180.0):
@@ -61,13 +62,14 @@ def _staged(clock, index, admitted, decision, cluster, policy,
             budget_w, manager, planner=None, uniform=False):
     hosts = sum(r.node_count for r in admitted)
     eff = cluster.efficiencies[:hosts]
-    return plan_admitted_batch(
+    if planner is None:
+        planner = BatchPlanner(manager, policy)
+    return plan_batch(
         clock=clock, batch_index=index, admitted=admitted,
         decision=decision,
         host_efficiencies=eff if uniform else eff.copy(),
-        policy=policy, budget_w=budget_w, batch_budget_w=budget_w,
-        quarantined=(), manager=manager, run_seed=None,
-        planner=planner, uniform_hosts=uniform,
+        planner=planner, budget_w=budget_w, batch_budget_w=budget_w,
+        quarantined=(), run_seed=None, uniform_hosts=uniform,
     )
 
 
@@ -120,6 +122,49 @@ class TestStagedPipelineIdentity:
             [float(i) for i in range(len(shapes))]
         assert [e.job_names for e in executed] == \
             [(f"j{i}",) for i in range(len(shapes))]
+
+
+    @pytest.mark.parametrize("schedule", [
+        FaultSchedule(name="drop").budget_drop(5.0, 700.0),
+        FaultSchedule(name="dropout").sensor_dropout(0.0, 12.0),
+        FaultSchedule(name="stuck").cap_stuck(0.0, [0, 2], 150.0),
+        FaultSchedule(name="error").cap_error(5.0, [1], duration_s=30.0),
+        FaultSchedule(name="burst").noise_burst(0.0, 12.0, 0.08),
+    ], ids=lambda schedule: schedule.name)
+    def test_fault_rows_match_frozen_path(self, schedule):
+        # Faulted rows share one stage-2 call with a fault-free row;
+        # rows carrying an engine-fault slice run as their own groups.
+        cluster = Cluster(node_count=12, seed=5)
+        policy = create_policy("MixedAdaptive")
+        manager = PowerManager()
+        planner = BatchPlanner(manager, policy)
+        planned, expected = [], []
+        for index in range(4):
+            admitted = [_request(f"j{index}", nodes=4)]
+            decision = _decision(admitted)
+            clock = 5.0 * index
+            faults = schedule if index != 2 else None
+            budget = faults.budget_at(clock, 900.0) if faults else 900.0
+            expected.append(execute_admitted_batch(
+                clock=clock, batch_index=index, admitted=admitted,
+                decision=decision, batch_cluster=cluster.subset(range(4)),
+                policy=policy, budget_w=900.0, batch_budget_w=budget,
+                quarantined=(), manager=manager, noise_std=0.02,
+                run_seed=3, fault_schedule=faults, degradation=None,
+                reaction_s=1.0, injecting=faults is not None,
+            ))
+            planned.append(plan_batch(
+                clock=clock, batch_index=index, admitted=admitted,
+                decision=decision,
+                host_efficiencies=cluster.efficiencies[:4].copy(),
+                planner=planner, budget_w=900.0, batch_budget_w=budget,
+                run_seed=3, fault_schedule=faults,
+            ))
+        assert execute_planned_batches(planned, manager, 0.02) == expected
+        if schedule.name in ("stuck", "error", "burst"):
+            assert planned[0].engine_faults is not None
+        if schedule.name == "dropout":
+            assert expected[0].record.degradation_tier == "clamp"
 
 
 class TestGroupComplianceAccounting:
@@ -217,6 +262,58 @@ class TestBatchPlannerMemo:
         assert char1.mix_name == "batch-1"
         char2, _ = planner.plan(rescheduled, 2500.0, relabel=False)
         assert char2 is char0  # memo object, label untouched
+
+
+class TestBatchPlannerMemoBound:
+    @staticmethod
+    def _plan_stream(limit, monkeypatch):
+        # Two churn sources: a varied cluster gives every batch a fresh
+        # efficiency key (the per-batch host shuffle), and budgets that
+        # rarely repeat fill each slot's caps and ladder-plan levels.
+        from repro.manager import site_simulation
+
+        monkeypatch.setattr(site_simulation, "_PLAN_MEMO_LIMIT", limit)
+        schedule = FaultSchedule(name="drop").budget_drop(0.0, 800.0)
+        planner = BatchPlanner(PowerManager(), create_policy("MixedAdaptive"))
+        clusters = (Cluster(node_count=12, seed=5),
+                    Cluster(node_count=12, variation=None, seed=0))
+        outputs, peaks = [], [0, 0, 0]
+        for index in range(36):
+            cluster = clusters[index % 2]
+            admitted = [_request(f"j{index}", nodes=1 + index % 6)]
+            budget = 900.0 + 10.0 * (index % 9)
+            batch = plan_batch(
+                clock=0.0, batch_index=index, admitted=admitted,
+                decision=_decision(admitted),
+                host_efficiencies=cluster.efficiencies, planner=planner,
+                budget_w=budget, batch_budget_w=budget,
+                fault_schedule=schedule if index % 3 == 0 else None,
+            )
+            outputs.append((batch.tier, batch.effective_caps))
+            slots = [sub for entry in planner._memo.values()
+                     for sub in entry["by_eff"].values()]
+            peaks[0] = max(peaks[0], len(planner._memo))
+            peaks[1] = max(peaks[1], max(
+                len(entry["by_eff"]) for entry in planner._memo.values()
+            ))
+            peaks[2] = max(peaks[2], max(
+                max(len(sub["caps"]), len(sub["plans"])) for sub in slots
+            ))
+        return outputs, peaks, planner
+
+    def test_levels_stay_within_limit(self, monkeypatch):
+        _, peaks, planner = self._plan_stream(4, monkeypatch)
+        assert max(peaks) <= 4
+        assert planner.char_misses > 0
+
+    def test_bounded_results_equal_unbounded(self, monkeypatch):
+        bounded, _, small = self._plan_stream(4, monkeypatch)
+        unbounded, peaks, big = self._plan_stream(10**9, monkeypatch)
+        assert max(peaks) > 4  # the stream does overflow a 4-entry level
+        assert small.char_misses > big.char_misses
+        for (tier_a, caps_a), (tier_b, caps_b) in zip(bounded, unbounded):
+            assert tier_a == tier_b
+            np.testing.assert_array_equal(caps_a, caps_b)
 
 
 class TestTrustedScheduledMix:

@@ -79,7 +79,7 @@ class TestCrossClusterGrouping:
         from repro.manager.site_simulation import (
             BatchPlanner,
             execute_planned_batches,
-            plan_admitted_batch,
+            plan_batch,
         )
         from repro.manager.admission import AdmissionDecision
 
@@ -96,12 +96,11 @@ class TestCrossClusterGrouping:
             decision = AdmissionDecision(
                 (request.name,), (), {request.name: 180.0}, 900.0, 4,
             )
-            batch = plan_admitted_batch(
+            batch = plan_batch(
                 clock=0.0, batch_index=0, admitted=[request],
                 decision=decision, host_efficiencies=cluster.efficiencies,
-                policy=policy, budget_w=900.0, batch_budget_w=900.0,
-                quarantined=(), manager=manager, run_seed=None,
-                planner=planner, uniform_hosts=True,
+                planner=planner, budget_w=900.0, batch_budget_w=900.0,
+                uniform_hosts=True,
             )
             return dataclasses.replace(batch, group_key=key)
 

@@ -145,6 +145,46 @@ class TestDaemon:
 
         asyncio.run(_with_daemon(engine, body))
 
+    def test_oversize_submit_rejected_before_enqueue(self, monkeypatch):
+        # A job larger than the cluster is refused with an O(1) check:
+        # nothing is queued, no stats move, and nothing is characterized
+        # (a 20M-node estimate would take seconds and gigabytes).
+        import dataclasses
+        import sys
+
+        from repro.characterization import mix_characterization
+
+        calls = []
+        original = mix_characterization.characterize_mix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    getattr(module, "characterize_mix", None) is original:
+                monkeypatch.setattr(module, "characterize_mix", counting)
+        engine = _engine()
+        before = engine.stats.snapshot()
+        factory = synthetic_job_factory()
+
+        async def body(daemon, client):
+            huge = dataclasses.replace(factory(0), node_count=20_000_000)
+            reply = await client.rpc(msg.submit_message(huge))
+            assert reply["type"] == "error"
+            assert reply["node_count"] == 20_000_000
+            assert reply["cluster_nodes"] == 12
+            assert engine.stats.snapshot() == before
+            assert len(engine.queue) == 0 and not engine.loop
+            assert calls == []
+            fits = dataclasses.replace(factory(1), node_count=12)
+            reply = await client.rpc(msg.submit_message(fits))
+            assert reply["type"] == "ack"
+            assert calls  # the probe sees a job that does get planned
+
+        asyncio.run(_with_daemon(engine, body))
+
     def test_set_budget_round_trip(self):
         async def body(daemon, client):
             reply = await client.rpc(msg.set_budget_message(1200.0))

@@ -151,7 +151,7 @@ def balancer_heatmap(
         barrier_overhead_s=DEFAULT_OPTIONS.barrier_overhead_s,
         seeds=[0] * batch.scenario_count,
     )
-    values = np.mean(out.host_mean_power, axis=1).reshape(
+    values = np.mean(out.host_mean_power_w, axis=1).reshape(
         len(intensities), len(columns)
     )
     return HeatmapGrid(

@@ -7,7 +7,8 @@ site's power telemetry accumulates into the Fig. 1-style record.  This is
 the operating loop the paper's stack serves, driven end to end:
 
     arrivals -> JobQueue -> PowerAwareAdmission -> plan_batch
-             -> execute_planned_batches -> finish_planned_batch -> telemetry
+             -> execute_planned_batches (stacked passes, group finish)
+             -> telemetry
 
 The simulation is event-stepped at batch granularity: whenever the
 cluster drains, the next admission round runs against everything that has
@@ -17,11 +18,13 @@ future work; batch granularity keeps the model inside what the paper's
 policies define.)
 
 Every batch runs through one staged pipeline: :func:`plan_batch`
-schedules it and plans its caps through a memoising
-:class:`BatchPlanner`, :func:`execute_planned_batches` simulates any
-number of planned batches in grouped ``(S, hosts)`` engine passes, and
-:func:`finish_planned_batch` folds each row into a
-:class:`BatchExecution`.  The shift loop itself is one generator,
+plans it through a memoising :class:`BatchPlanner` (layout, iteration
+count and stacking signature come from the planner's per-shape memo),
+and :func:`execute_planned_batches` runs each group of same-structure
+batches as one ``(S, hosts)`` engine pass and finishes the group from
+the pass's stacked arrays into :class:`BatchExecution` records
+(:func:`finish_planned_batch` is the S=1 slice of that finish).  The
+shift loop itself is one generator,
 :func:`shift_rounds`, which yields each planned batch to its caller:
 :func:`run_site_simulation` and the streaming engine's replay mode run
 one S=1 pass per batch, the fused facility engine fuses the batches of
@@ -206,7 +209,7 @@ class SiteSimulationResult:
         return max((b.mean_power_w for b in self.batches), default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class PlannedBatch:
     """An admitted batch, planned but not yet simulated.
 
@@ -215,9 +218,12 @@ class PlannedBatch:
     :func:`plan_batch` produces one of these per batch,
     :func:`execute_planned_batches` runs any number of them through
     :func:`~repro.sim.batch.simulate_layout_batch` grouped by job
-    structure, and :func:`finish_planned_batch` turns each row back into
-    the :class:`BatchExecution` the site loops consume.
+    structure, and finishes each group into the
+    :class:`BatchExecution` records the site loops consume.  A plain
+    slotted record (one per admitted batch); treat it as read-only.
 
+    ``structure`` is the ``(job boundaries, iterations)`` signature from
+    the planner's per-shape memo, which :func:`stack_key` groups on.
     The trailing defaulted fields:
 
     * ``group_key`` is the cross-site grouping context — the "cluster
@@ -245,6 +251,7 @@ class PlannedBatch:
     budget_w: float
     batch_budget_w: float
     quarantined: Tuple[int, ...]
+    structure: tuple
     group_key: object = None
     tier: str = "none"
     backoff_s: float = 0.0
@@ -294,14 +301,15 @@ class BatchPlanner:
     def __init__(self, manager: PowerManager, policy: Policy) -> None:
         self.manager = manager
         self.policy = policy
-        # shape_key -> {"layout": HostLayout,
+        # shape_key -> {"layout": HostLayout, "iters": int,
+        #               "structure": (boundaries bytes, iters),
         #               "by_eff": {eff bytes -> {"char": ...,
         #                                        "caps": {budget -> caps},
         #                                        "plans": {(budget, config)
         #                                          -> (decision, caps)}}}}
         # One nested entry per shape so the (potentially expensive)
         # shape-key tuple — it hashes every KernelConfig field — is
-        # hashed once per plan call, not once per memo level.
+        # hashed once per planned batch, not once per memo level.
         self._memo: Dict[tuple, dict] = {}
         #: Characterization-level memo hits/misses (the physics-pass
         #: savings a shared planner delivers across batches and, in the
@@ -312,14 +320,10 @@ class BatchPlanner:
         self.plan_hits = 0
         self.plan_misses = 0
 
-    def _lookup(self, scheduled: "ScheduledMix") -> dict:
-        """The per-(shape, efficiencies) memo slot, characterized.
-
-        Seeds the mix's layout memo from the per-shape cache and counts
-        a characterization hit or miss; shared by :meth:`plan` and
-        :meth:`plan_degraded`.
-        """
-        mix = scheduled.mix
+    def _shape_entry(self, mix: WorkloadMix) -> dict:
+        """The per-shape memo entry for ``mix``; primes the mix's layout
+        and iteration memos from it, so no batch of a known shape
+        rebuilds them."""
         shape_key = tuple(
             (job.config, job.node_count, job.iterations) for job in mix.jobs
         )
@@ -327,19 +331,35 @@ class BatchPlanner:
         if entry is None:
             if len(self._memo) >= _PLAN_MEMO_LIMIT:
                 self._memo.clear()
-            entry = {"layout": mix.layout(),
-                     "iters": mix.common_iterations(), "by_eff": {}}
+            layout = mix.layout()
+            iterations = mix.common_iterations()
+            entry = {"layout": layout, "iters": iterations,
+                     "structure": (layout.job_boundaries.tobytes(),
+                                   iterations),
+                     "by_eff": {}}
             self._memo[shape_key] = entry
         else:
-            object.__setattr__(mix, "_layout", entry["layout"])
-            object.__setattr__(mix, "_common_iterations", entry["iters"])
+            mix_memo = mix.__dict__
+            mix_memo["_layout"] = entry["layout"]
+            mix_memo["_common_iterations"] = entry["iters"]
+        return entry
+
+    def _lookup(self, scheduled: "ScheduledMix",
+                entry: Optional[dict] = None) -> dict:
+        """The per-(shape, efficiencies) memo slot, characterized.
+
+        ``entry`` is the mix's :meth:`_shape_entry`, if already looked
+        up.  Counts a characterization hit or miss.
+        """
+        if entry is None:
+            entry = self._shape_entry(scheduled.mix)
         eff_key = scheduled.efficiencies.tobytes()
         by_eff = entry["by_eff"]
         sub = by_eff.get(eff_key)
         if sub is None:
             self.char_misses += 1
             char = characterize_mix(
-                mix, scheduled.efficiencies, self.manager.model
+                scheduled.mix, scheduled.efficiencies, self.manager.model
             )
             sub = {"char": char, "caps": {}, "plans": {}}
             if len(by_eff) >= _PLAN_MEMO_LIMIT:
@@ -350,7 +370,7 @@ class BatchPlanner:
         return sub
 
     def plan(self, scheduled: "ScheduledMix", budget_w: float,
-             relabel: bool = True):
+             relabel: bool = True, entry: Optional[dict] = None):
         """Characterize + allocate, memoised.  Returns ``(char, caps)``.
 
         Also seeds the mix's layout memo from the per-shape cache:
@@ -364,13 +384,13 @@ class BatchPlanner:
         ``relabel=False`` skips rewriting a memo-hit characterization's
         ``mix_name`` to the current batch's name — callers that discard
         the characterization (the streaming planner) shouldn't pay the
-        ``dataclasses.replace`` on every batch.
+        ``dataclasses.replace`` on every batch.  ``entry`` is the mix's
+        :meth:`_shape_entry`, when the caller already looked it up.
         """
-        mix = scheduled.mix
-        sub = self._lookup(scheduled)
+        sub = self._lookup(scheduled, entry)
         char = sub["char"]
-        if relabel and char.mix_name != mix.name:
-            char = dataclasses.replace(char, mix_name=mix.name)
+        if relabel and char.mix_name != scheduled.mix.name:
+            char = dataclasses.replace(char, mix_name=scheduled.mix.name)
         budget_key = float(budget_w)
         by_budget = sub["caps"]
         caps = by_budget.get(budget_key)
@@ -389,7 +409,7 @@ class BatchPlanner:
         return char, caps
 
     def plan_degraded(self, scheduled: "ScheduledMix", budget_w: float,
-                      config=None):
+                      config=None, entry: Optional[dict] = None):
         """Plan through the degradation ladder, memoised.
 
         Returns ``(decision, effective_caps)``: the
@@ -407,14 +427,14 @@ class BatchPlanner:
         ``faults.degradation.*`` counters and the ``plan_degraded``
         event, quoting this call's budget), so registry totals are the
         ones a fresh ladder run per batch records.  Callers must not
-        mutate the returned decision.
+        mutate the returned decision.  ``entry`` is as in :meth:`plan`.
         """
         from repro.faults.degradation import (
             plan_with_degradation,
             record_decision,
         )
 
-        sub = self._lookup(scheduled)
+        sub = self._lookup(scheduled, entry)
         budget = float(budget_w)
         plans = sub["plans"]
         key = (budget, config)
@@ -491,14 +511,15 @@ def plan_batch(
     a sensor dropout blinds characterization at ``clock`` — through the
     ladder's characterization-free clamp tier.  A faulted batch also
     carries the schedule for stage 3's compliance accounting and its
-    engine-applicable slice (``engine_slice(clock)``) for stage 2.
+    engine-applicable slice (``engine_slice(clock)``) for stage 2.  The
+    batch's layout, iteration count and ``structure`` come from the
+    planner's per-shape memo entry.
     """
     policy = planner.policy
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    n = mix.total_nodes
+    mix = WorkloadMix(f"batch-{batch_index}",
+                      tuple(r.to_job() for r in admitted))
+    entry = planner._shape_entry(mix)
+    n = entry["layout"].host_count
     hosts = len(host_efficiencies)
     if n > hosts:
         raise ValueError(
@@ -525,12 +546,9 @@ def plan_batch(
         from repro.parallel.seeding import child_seed
 
         batch_seed = child_seed(run_seed, "site-batch", batch_index)
-    tier = "none"
-    backoff_s = 0.0
-    sim_budget_w: Optional[float] = None
-    engine_faults = None
+    faulted = {}
     if fault_schedule is None:
-        _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
+        _, effective_caps = planner.plan(scheduled, budget_w, False, entry)
     else:
         if fault_schedule.sensor_dropout_at(clock):
             from repro.faults.degradation import plan_with_degradation
@@ -544,147 +562,125 @@ def plan_batch(
             effective_caps = plan.caps_w
         else:
             plan, effective_caps = planner.plan_degraded(
-                scheduled, batch_budget_w, degradation
+                scheduled, batch_budget_w, degradation, entry
             )
-        tier, backoff_s = plan.tier, plan.backoff_s
-        sim_budget_w = float(batch_budget_w)
-        engine_faults = fault_schedule.engine_slice(clock)
+        faulted = dict(
+            tier=plan.tier, backoff_s=plan.backoff_s,
+            fault_schedule=fault_schedule, reaction_s=reaction_s,
+            sim_budget_w=float(batch_budget_w),
+            engine_faults=fault_schedule.engine_slice(clock),
+        )
+    # Positional: this runs once per admitted batch.
     return PlannedBatch(
-        clock=clock,
-        batch_index=batch_index,
-        decision=decision,
-        scheduled=scheduled,
-        effective_caps=effective_caps,
-        batch_seed=int(batch_seed),
-        policy=policy,
-        budget_w=float(budget_w),
-        batch_budget_w=float(batch_budget_w),
-        quarantined=quarantined,
-        tier=tier,
-        backoff_s=backoff_s,
-        fault_schedule=fault_schedule,
-        reaction_s=reaction_s,
-        sim_budget_w=sim_budget_w,
-        engine_faults=engine_faults,
+        clock, batch_index, decision, scheduled, effective_caps,
+        int(batch_seed), policy, float(budget_w), float(batch_budget_w),
+        quarantined, entry["structure"], **faulted,
     )
 
 
-#: Memoised telemetry instrument handles for :func:`finish_planned_batch`
-#: — looked up once per registry generation instead of four name lookups
-#: per batch (thousands of batches per streamed shift).
-_FINISH_INSTRUMENTS: Optional[tuple] = None
+def finish_planned_batch(planned: PlannedBatch, result) -> BatchExecution:
+    """Stage 3 for one simulated row: the S=1 slice of the group finish.
 
-
-def _finish_instruments(registry) -> tuple:
-    global _FINISH_INSTRUMENTS
-    cached = _FINISH_INSTRUMENTS
-    key = (registry, registry.generation)
-    if cached is None or cached[0] != key:
-        cached = (
-            key,
-            registry.gauge("manager.site.utilization"),
-            registry.histogram("manager.site.batch_duration_s"),
-            registry.counter("manager.site.batches"),
-            registry.counter("manager.site.jobs_completed"),
-        )
-        _FINISH_INSTRUMENTS = cached
-    return cached
-
-
-def finish_planned_batch(planned: PlannedBatch, result,
-                         scalars: Optional[tuple] = None) -> BatchExecution:
-    """Stage 3: fold one simulated row back into a :class:`BatchExecution`.
-
-    Duration from the job critical path plus the ladder's ``backoff_s``
-    (identically zero on fault-free batches), the record fields, the
-    completion clocks, and the per-batch telemetry.  When the planned
-    batch carries a ``fault_schedule``, compliance accounting runs too —
-    overshoot against the launch budget from the iteration power trace,
-    plus the reaction window of mid-batch budget drops.
-
-    ``scalars``, when given, is ``(job_elapsed_s, duration, mean_power,
-    energy, planned_overshoot)`` precomputed for this row —
-    :func:`execute_planned_batches` derives them for a whole group in
-    vectorised reductions whose per-row values are element-identical to
-    the serial property chain (same summands, same order, exact max),
-    saving their numpy dispatches per batch on the hot path.  The
-    overshoot is ``None`` for a row without a fault schedule.
+    ``result`` is the row's :class:`~repro.sim.results.MixRunResult`
+    (e.g. a serial ``simulate_mix`` run); it is stacked as a one-row
+    pass and finished exactly as a row of a grouped pass would be.
     """
-    backoff_s = planned.backoff_s
-    if scalars is None:
-        elapsed = result.job_elapsed_s
-        duration = float(np.max(elapsed)) + backoff_s
-        mean_power_w = result.mean_system_power_w
-    else:
-        elapsed, duration, mean_power_w, _, group_overshoot = scalars
-        duration = duration + backoff_s
-    planned_overshoot_ws = 0.0
-    overshoot_ws = 0.0
-    if planned.fault_schedule is not None:
-        from repro.faults.schedule import FaultKind
+    from repro.sim.batch import LayoutBatchResult
 
-        fault_schedule = planned.fault_schedule
-        clock = planned.clock
-        if scalars is None:
-            planned_overshoot_ws = result.budget_overshoot_watt_seconds(
-                planned.batch_budget_w
+    stacked = LayoutBatchResult.stack([planned.mix], [result])
+    return _finish_passes([planned], [([0], stacked)])[0]
+
+
+def _finish_passes(planned: Sequence[PlannedBatch],
+                   passes) -> List[BatchExecution]:
+    """Stage 3: fold every simulated row into a :class:`BatchExecution`.
+
+    ``passes`` holds ``(indices into planned, LayoutBatchResult)`` per
+    stacked pass.  Elapsed times, durations (critical path plus the
+    ladder's ``backoff_s``), completion clocks, power and energy are
+    whole-pass array operations whose rows are element-identical to the
+    serial ``MixRunResult`` property chain (same summands and order,
+    exact max, the same IEEE adds), read back with ``tolist()``.  Rows
+    with a ``fault_schedule`` also get compliance accounting: overshoot
+    against the launch budget plus the reaction windows of mid-batch
+    budget drops.  Counters and the utilization gauge move once per
+    call; histogram observations and ``batch_complete`` events stay per
+    row, in ``planned`` order.
+    """
+    count = len(planned)
+    executions: List[Optional[BatchExecution]] = [None] * count
+    durations = [0.0] * count
+    powers = [0.0] * count
+    for indices, result in passes:
+        rows = [planned[i] for i in indices]
+        clocks = np.array([b.clock for b in rows])
+        backoffs = np.array([b.backoff_s for b in rows])
+        elapsed = result.iteration_times_s.sum(axis=1)
+        duration = elapsed.max(axis=1) + backoffs
+        completions = (
+            clocks[:, None] + (elapsed + backoffs[:, None])
+        ).tolist()
+        ends = (clocks + duration).tolist()
+        duration = duration.tolist()
+        power = result.host_mean_power_w.sum(axis=1).tolist()
+        energy = result.host_energy_j.sum(axis=1).tolist()
+        overshoot = _group_overshoot(rows, result)
+        for k, batch in enumerate(rows):
+            planned_overshoot_ws = overshoot_ws = 0.0
+            schedule = batch.fault_schedule
+            if schedule is not None:
+                from repro.faults.schedule import FaultKind
+
+                # Reaction windows: each budget drop inside the batch is
+                # charged at its mean draw above the dipped budget until
+                # the actuator responds or the batch ends.
+                planned_overshoot_ws = overshoot_ws = overshoot[k]
+                clock, end = batch.clock, batch.clock + duration[k]
+                for event in schedule.of_kind(FaultKind.BUDGET_CHANGE):
+                    if clock < event.time_s < end:
+                        dipped = schedule.budget_at(
+                            max(event.time_s, event.end_s), batch.budget_w
+                        )
+                        window = min(batch.reaction_s, end - event.time_s)
+                        overshoot_ws += max(0.0, power[k] - dipped) * window
+            decision = batch.decision
+            record = BatchRecord(
+                batch.clock, ends[k], decision.admitted, decision.deferred,
+                power[k], energy[k], batch.batch_budget_w, batch.tier,
+                batch.quarantined, planned_overshoot_ws, overshoot_ws,
+                batch.backoff_s,
             )
-        else:
-            planned_overshoot_ws = group_overshoot
-        overshoot_ws = planned_overshoot_ws
-        mean_p = mean_power_w
-        for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
-            if clock < event.time_s < clock + duration:
-                dipped = fault_schedule.budget_at(
-                    max(event.time_s, event.end_s), planned.budget_w
-                )
-                window = min(
-                    planned.reaction_s, clock + duration - event.time_s
-                )
-                overshoot_ws += max(0.0, mean_p - dipped) * window
-    record = BatchRecord(
-        start_s=planned.clock,
-        end_s=planned.clock + duration,
-        admitted=planned.decision.admitted,
-        deferred=planned.decision.deferred,
-        mean_power_w=mean_power_w,
-        energy_j=result.total_energy_j if scalars is None else scalars[3],
-        budget_w=float(planned.batch_budget_w),
-        degradation_tier=planned.tier,
-        quarantined=planned.quarantined,
-        planned_overshoot_ws=planned_overshoot_ws,
-        overshoot_ws=overshoot_ws,
-        backoff_s=backoff_s,
-    )
-    if enabled():
-        _, gauge, histogram, batches, jobs = _finish_instruments(
-            get_registry()
+            i = indices[k]
+            executions[i] = BatchExecution(
+                record, batch.mix.job_names, tuple(completions[k])
+            )
+            durations[i] = duration[k]
+            powers[i] = power[k]
+    if count and enabled():
+        registry = get_registry()
+        histogram = registry.histogram("manager.site.batch_duration_s")
+        utilization = 0.0
+        for batch, duration_s, power_w in zip(planned, durations, powers):
+            utilization = power_w / batch.batch_budget_w
+            histogram.observe(duration_s)
+            emit(
+                "manager.site", "batch_complete",
+                batch=batch.batch_index, policy=batch.policy.name,
+                admitted=len(batch.decision.admitted),
+                deferred=len(batch.decision.deferred),
+                duration_s=duration_s, mean_power_w=power_w,
+                utilization=utilization,
+            )
+        registry.gauge("manager.site.utilization").set(utilization)
+        registry.counter("manager.site.batches").inc(count)
+        registry.counter("manager.site.jobs_completed").inc(
+            sum(len(e.job_names) for e in executions)
         )
-        utilization = mean_power_w / planned.batch_budget_w
-        gauge.set(utilization)
-        histogram.observe(duration)
-        batches.inc()
-        jobs.inc(len(result.job_names))
-        emit(
-            "manager.site", "batch_complete",
-            batch=planned.batch_index, policy=planned.policy.name,
-            admitted=len(planned.decision.admitted),
-            deferred=len(planned.decision.deferred),
-            duration_s=duration,
-            mean_power_w=float(mean_power_w),
-            utilization=utilization,
-        )
-    clock = planned.clock
-    completions = tuple(clock + (float(e) + backoff_s) for e in elapsed)
-    return BatchExecution(
-        record=record,
-        job_names=tuple(result.job_names),
-        completion_s=completions,
-    )
+    return executions
 
 
-def _group_overshoot(rows: Sequence[PlannedBatch], group_results,
-                     times: np.ndarray) -> Optional[np.ndarray]:
+def _group_overshoot(rows: Sequence[PlannedBatch],
+                     result) -> Optional[List[float]]:
     """Each row's watt-seconds above its launch budget, group-wide.
 
     The ``(S, iterations)`` form of
@@ -697,13 +693,13 @@ def _group_overshoot(rows: Sequence[PlannedBatch], group_results,
     """
     if all(b.fault_schedule is None for b in rows):
         return None
-    durations = times.max(axis=2)
-    energy = np.stack([r.iteration_energy_j for r in group_results])
+    durations = result.iteration_times_s.max(axis=2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        power = np.where(durations > 0, energy / durations, 0.0)
-    budgets = np.array([float(b.batch_budget_w) for b in rows])
+        power = np.where(durations > 0,
+                         result.iteration_energy_j / durations, 0.0)
+    budgets = np.array([b.batch_budget_w for b in rows])
     excess = np.maximum(power - budgets[:, None], 0.0)
-    return np.sum(excess * durations, axis=1)
+    return np.sum(excess * durations, axis=1).tolist()
 
 
 def stack_key(batch: PlannedBatch) -> object:
@@ -714,11 +710,7 @@ def stack_key(batch: PlannedBatch) -> object:
     """
     if batch.engine_faults is not None:
         return id(batch)
-    return (
-        batch.group_key,
-        batch.mix.layout().job_boundaries.tobytes(),
-        batch.mix.common_iterations(),
-    )
+    return (batch.group_key, batch.structure)
 
 
 def execute_planned_batches(
@@ -726,7 +718,7 @@ def execute_planned_batches(
     manager: PowerManager,
     noise_std: float,
 ) -> List[BatchExecution]:
-    """Stage 2: simulate all planned batches in grouped vectorised passes.
+    """Stages 2 and 3: simulate all planned batches in grouped passes.
 
     Batches are grouped by :func:`stack_key`: job block structure
     (``job_boundaries``) and iteration count — the preconditions of
@@ -737,22 +729,22 @@ def execute_planned_batches(
     structure therefore share a pass in the fused facility engine.  A
     batch that carries ``engine_faults`` runs as its own S=1 group with
     that slice in its :class:`~repro.sim.execution.SimulationOptions`.
-    Per-row bit-identity to the serial ``simulate_mix`` call makes
-    grouping invisible in the results: only wall clock changes.
-    Executions come back in input order.
+    Each pass's stacked result is finished group-wise
+    (:func:`_finish_passes`).  Per-row bit-identity to the serial
+    ``simulate_mix`` call makes grouping invisible in the results: only
+    wall clock changes.  Executions come back in input order.
     """
     from repro.sim.batch import simulate_layout_batch
 
     groups: Dict[object, List[int]] = {}
     for i, batch in enumerate(planned):
         groups.setdefault(stack_key(batch), []).append(i)
-    results: List[object] = [None] * len(planned)
-    scalars: List[Optional[tuple]] = [None] * len(planned)
+    passes = []
     with span("manager.site.batched_step", batches=len(planned),
               groups=len(groups)):
         for indices in groups.values():
             rows = [planned[i] for i in indices]
-            group_results = simulate_layout_batch(
+            passes.append((indices, simulate_layout_batch(
                 [b.mix for b in rows],
                 np.stack([b.effective_caps for b in rows]),
                 np.stack([b.scheduled.efficiencies for b in rows]),
@@ -765,34 +757,8 @@ def execute_planned_batches(
                     b.budget_w if b.sim_budget_w is None else b.sim_budget_w
                     for b in rows
                 ],
-            )
-            # Group-wide derived scalars: each row of these reductions
-            # sums/maxes exactly the elements the per-row property chain
-            # (job_elapsed_s / mean_system_power_w / total_energy_j /
-            # budget_overshoot_watt_seconds) would, in the same order,
-            # so the values are bit-identical — one numpy call per
-            # quantity replaces one per batch.
-            times = np.stack([r.iteration_times_s for r in group_results])
-            elapsed = times.sum(axis=1)
-            duration = elapsed.max(axis=1)
-            mean_power = np.stack(
-                [r.host_mean_power_w for r in group_results]
-            ).sum(axis=1)
-            energy = np.stack(
-                [r.host_energy_j for r in group_results]
-            ).sum(axis=1)
-            overshoot = _group_overshoot(rows, group_results, times)
-            for row, (i, result) in enumerate(zip(indices, group_results)):
-                results[i] = result
-                scalars[i] = (
-                    elapsed[row], float(duration[row]),
-                    float(mean_power[row]), float(energy[row]),
-                    None if overshoot is None else float(overshoot[row]),
-                )
-    return [
-        finish_planned_batch(batch, result, scalar)
-        for batch, result, scalar in zip(planned, results, scalars)
-    ]
+            )))
+    return _finish_passes(planned, passes)
 
 
 def run_site_simulation(

@@ -33,6 +33,7 @@ later serial call hits entries a batch stored.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -50,6 +51,7 @@ from repro.workload.job import HostLayout, Job, WorkloadMix
 
 __all__ = [
     "LayoutBatch",
+    "LayoutBatchResult",
     "stack_cache_info",
     "stack_layouts",
     "stack_job_layouts",
@@ -332,7 +334,35 @@ def simulate_cap_batch(
         raise ValueError(
             f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
         )
-    scenarios = caps.shape[0]
+    n_iter = mix.common_iterations()
+
+    def execute(misses, seed_list):
+        return _execute_scenarios(
+            layout, caps[misses], eff, model, n_iter, options.noise_std,
+            options.barrier_overhead_s, seed_list,
+            fault_schedule=options.fault_schedule,
+        )
+
+    return list(_simulate_scenarios(
+        "simulate_cap_batch", "mix_batch_simulated", [mix] * caps.shape[0],
+        caps, np.broadcast_to(eff, caps.shape), model, options, seeds,
+        policy_names, budgets_w, layout.job_index, n_iter, execute,
+        mix=mix.name, hosts=layout.host_count,
+    ))
+
+
+def _simulate_scenarios(kind, event, mixes, caps, effs, model, options,
+                        seeds, policy_names, budgets_w, job_index, n_iter,
+                        execute, **attrs) -> "LayoutBatchResult":
+    """The cache-aware body both batch entry points share.
+
+    Row ``s`` is ``mixes[s]`` under ``caps[s]`` on ``effs[s]``; every
+    row is looked up under its *serial* cache key, and
+    ``execute(misses, seeds)`` runs the missed rows through the engine.
+    ``kind`` names the span (``sim.<kind>``) and the timer, ``event`` the
+    completion event; ``attrs`` lead both.
+    """
+    scenarios = len(mixes)
     if seeds is None:
         seed_list = [int(options.seed)] * scenarios
     else:
@@ -343,14 +373,12 @@ def simulate_cap_batch(
             )
     names = _per_scenario(policy_names, scenarios, "policy_names", str)
     budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
-    n_iter = mix.common_iterations()
 
     from repro.parallel.cache import active_cache
 
-    with span("sim.simulate_cap_batch", mix=mix.name,
-              hosts=layout.host_count, scenarios=scenarios) as trace_sp:
+    with span(f"sim.{kind}", **attrs, scenarios=scenarios) as trace_sp:
         cache = active_cache()
-        results: List[Optional[MixRunResult]] = [None] * scenarios
+        cached: dict = {}
         keys: List[Optional[str]] = [None] * scenarios
         misses = list(range(scenarios))
         if cache is not None:
@@ -360,44 +388,31 @@ def simulate_cap_batch(
             for s in range(scenarios):
                 opts_s = dataclasses.replace(options, seed=seed_list[s])
                 keys[s] = cache.key(
-                    "simulate", mix, caps[s], eff, model, opts_s,
+                    "simulate", mixes[s], caps[s], effs[s], model, opts_s,
                     names[s], budgets[s],
                 )
                 payload = cache.get(keys[s])
                 if payload is not None:
-                    results[s] = result_from_dict(payload)
+                    cached[s] = result_from_dict(payload)
                 else:
                     misses.append(s)
-        hits = scenarios - len(misses)
+        hits = len(cached)
         if trace_sp is not None:
             trace_sp.set_attribute("cache_hits", hits)
 
-        with ScopedTimer("sim.execution.simulate_cap_batch_s") as timer:
-            if misses:
-                out = _execute_scenarios(
-                    layout, caps[misses], eff, model, n_iter,
-                    options.noise_std, options.barrier_overhead_s,
-                    [seed_list[s] for s in misses],
-                    fault_schedule=options.fault_schedule,
-                )
-                for row, s in enumerate(misses):
-                    results[s] = MixRunResult(
-                        mix_name=mix.name,
-                        policy_name=names[s],
-                        budget_w=budgets[s],
-                        job_names=mix.job_names,
-                        iteration_times_s=out.job_iter_times[row],
-                        iteration_energy_j=out.iteration_energy[row],
-                        host_energy_j=out.host_energy[row],
-                        host_mean_power_w=out.host_mean_power[row],
-                        host_job_index=layout.job_index,
-                        total_gflop=float(out.total_gflop[row]),
-                    )
+        with ScopedTimer(f"sim.execution.{kind}_s") as timer:
+            out = None
+            if misses or not cached:
+                out = execute(misses, [seed_list[s] for s in misses])
+            result = LayoutBatchResult(
+                mixes, names, budgets, job_index,
+                *_stacked_rows(out, misses, cached, scenarios),
+            )
         if cache is not None and misses:
             from repro.io.serialize import result_to_dict
 
             for s in misses:
-                cache.put(keys[s], result_to_dict(results[s]))
+                cache.put(keys[s], result_to_dict(result[s]))
 
         if enabled():
             registry = get_registry()
@@ -407,11 +422,86 @@ def simulate_cap_batch(
             if hits:
                 registry.counter("sim.execution.cache_hits").inc(hits)
             emit(
-                "sim.execution", "mix_batch_simulated",
-                mix=mix.name, hosts=layout.host_count, scenarios=scenarios,
+                "sim.execution", event, **attrs, scenarios=scenarios,
                 cache_hits=hits, iterations=n_iter, wall_s=timer.elapsed_s,
             )
-    return results  # type: ignore[return-value]
+    return result
+
+
+#: The per-row output arrays a pass stacks (the engine's tensors and
+#: :class:`LayoutBatchResult` share these names).
+_ROW_ARRAYS = ("iteration_times_s", "iteration_energy_j", "host_energy_j",
+               "host_mean_power_w", "total_gflop")
+
+
+def _stacked_rows(out, misses: List[int], cached: dict,
+                  scenarios: int) -> List[np.ndarray]:
+    """The pass's ``(S, ...)`` output arrays, in :data:`_ROW_ARRAYS` order:
+    the engine tensors themselves, or — when the cache served some rows
+    — fresh arrays holding the engine rows and the decoded cached rows."""
+    if not cached:
+        return [getattr(out, name) for name in _ROW_ARRAYS]
+    stacked = []
+    for name in _ROW_ARRAYS:
+        row_shape = np.shape(getattr(next(iter(cached.values())), name))
+        array = np.empty((scenarios,) + row_shape)
+        for s, row in cached.items():
+            array[s] = getattr(row, name)
+        if misses:
+            array[misses] = getattr(out, name)
+        stacked.append(array)
+    return stacked
+
+
+@dataclass(frozen=True, eq=False)
+class LayoutBatchResult(SequenceABC):
+    """The stacked outputs of one :func:`simulate_layout_batch` pass.
+
+    Consumers that reduce over the whole pass — the site pipeline's
+    stage 3 — read the ``(S, ...)`` arrays directly.  The object is also
+    a sequence of per-row :class:`~repro.sim.results.MixRunResult`, each
+    built on access from its row's slices, for callers that want one
+    result per scenario.
+    """
+
+    mixes: Sequence[WorkloadMix]
+    policy_names: Sequence[str]
+    budgets_w: Sequence[float]
+    host_job_index: np.ndarray        # (hosts,), common to every row
+    iteration_times_s: np.ndarray     # (S, iterations, jobs)
+    iteration_energy_j: np.ndarray    # (S, iterations)
+    host_energy_j: np.ndarray         # (S, hosts)
+    host_mean_power_w: np.ndarray     # (S, hosts)
+    total_gflop: np.ndarray           # (S,)
+
+    def __len__(self) -> int:
+        return len(self.mixes)
+
+    def __getitem__(self, s: int) -> MixRunResult:
+        mix = self.mixes[s]
+        return MixRunResult(
+            mix_name=mix.name,
+            policy_name=self.policy_names[s],
+            budget_w=self.budgets_w[s],
+            job_names=mix.job_names,
+            iteration_times_s=self.iteration_times_s[s],
+            iteration_energy_j=self.iteration_energy_j[s],
+            host_energy_j=self.host_energy_j[s],
+            host_mean_power_w=self.host_mean_power_w[s],
+            host_job_index=self.host_job_index,
+            total_gflop=float(self.total_gflop[s]),
+        )
+
+    @classmethod
+    def stack(cls, mixes: Sequence[WorkloadMix],
+              results: Sequence[MixRunResult]) -> "LayoutBatchResult":
+        """Stack per-row results (e.g. serial ``simulate_mix`` runs)."""
+        return cls(
+            mixes, [r.policy_name for r in results],
+            [r.budget_w for r in results], results[0].host_job_index,
+            *(np.stack([np.asarray(getattr(r, name)) for r in results])
+              for name in _ROW_ARRAYS),
+        )
 
 
 def simulate_layout_batch(
@@ -423,7 +513,7 @@ def simulate_layout_batch(
     seeds: Optional[Sequence[int]] = None,
     policy_names: Union[str, Sequence[str]] = "unmanaged",
     budgets_w: Union[float, Sequence[float]] = 0.0,
-) -> List[MixRunResult]:
+) -> LayoutBatchResult:
     """Simulate ``S`` *independent mixes* on ``S`` host rows in one pass.
 
     Where :func:`simulate_cap_batch` sweeps cap vectors over one mix on
@@ -448,8 +538,9 @@ def simulate_layout_batch(
 
     Returns
     -------
-    list of MixRunResult
-        Element ``s`` is **bit-identical** to
+    LayoutBatchResult
+        The pass's stacked ``(S, ...)`` output arrays; element ``s`` is
+        **bit-identical** to
         ``simulate_mix(mixes[s], caps_sw[s], efficiencies_sw[s], ...)``
         with the matching seed: the engine body is a pure elementwise
         ufunc chain over the host axis with per-scenario contiguous
@@ -458,7 +549,8 @@ def simulate_layout_batch(
 
     Per-scenario cache keys are the *serial* keys, so a layout batch
     interoperates with serial runs through any installed
-    :func:`~repro.parallel.cache.active_cache` exactly as cap batches do.
+    :func:`~repro.parallel.cache.active_cache` exactly as cap batches do;
+    rows served from the cache land in the same stacked arrays.
     """
     if not mixes:
         raise ValueError("simulate_layout_batch needs at least one mix")
@@ -485,82 +577,17 @@ def simulate_layout_batch(
             raise ValueError(
                 "all mixes in a layout batch must share one iteration count"
             )
-    if seeds is None:
-        seed_list = [int(options.seed)] * scenarios
-    else:
-        seed_list = [int(s) for s in seeds]
-        if len(seed_list) != scenarios:
-            raise ValueError(
-                f"seeds must have length {scenarios}, got {len(seed_list)}"
-            )
-    names = _per_scenario(policy_names, scenarios, "policy_names", str)
-    budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
 
-    from repro.parallel.cache import active_cache
+    def execute(misses, seed_list):
+        return _execute_scenarios(
+            _stack_layouts_cached([layouts[s] for s in misses]),
+            caps[misses], eff[misses], model, n_iter, options.noise_std,
+            options.barrier_overhead_s, seed_list,
+            fault_schedule=options.fault_schedule,
+        )
 
-    with span("sim.simulate_layout_batch", hosts=hosts,
-              scenarios=scenarios) as trace_sp:
-        cache = active_cache()
-        results: List[Optional[MixRunResult]] = [None] * scenarios
-        keys: List[Optional[str]] = [None] * scenarios
-        misses = list(range(scenarios))
-        if cache is not None:
-            from repro.io.serialize import result_from_dict
-
-            misses = []
-            for s in range(scenarios):
-                opts_s = dataclasses.replace(options, seed=seed_list[s])
-                keys[s] = cache.key(
-                    "simulate", mixes[s], caps[s], eff[s], model, opts_s,
-                    names[s], budgets[s],
-                )
-                payload = cache.get(keys[s])
-                if payload is not None:
-                    results[s] = result_from_dict(payload)
-                else:
-                    misses.append(s)
-        hits = scenarios - len(misses)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hits", hits)
-
-        with ScopedTimer("sim.execution.simulate_layout_batch_s") as timer:
-            if misses:
-                batch = _stack_layouts_cached([layouts[s] for s in misses])
-                out = _execute_scenarios(
-                    batch, caps[misses], eff[misses], model, n_iter,
-                    options.noise_std, options.barrier_overhead_s,
-                    [seed_list[s] for s in misses],
-                    fault_schedule=options.fault_schedule,
-                )
-                for row, s in enumerate(misses):
-                    results[s] = MixRunResult(
-                        mix_name=mixes[s].name,
-                        policy_name=names[s],
-                        budget_w=budgets[s],
-                        job_names=mixes[s].job_names,
-                        iteration_times_s=out.job_iter_times[row],
-                        iteration_energy_j=out.iteration_energy[row],
-                        host_energy_j=out.host_energy[row],
-                        host_mean_power_w=out.host_mean_power[row],
-                        host_job_index=layouts[s].job_index,
-                        total_gflop=float(out.total_gflop[row]),
-                    )
-        if cache is not None and misses:
-            from repro.io.serialize import result_to_dict
-
-            for s in misses:
-                cache.put(keys[s], result_to_dict(results[s]))
-
-        if enabled():
-            registry = get_registry()
-            registry.counter("sim.execution.batch_runs").inc()
-            if misses:
-                registry.counter("sim.execution.runs").inc(len(misses))
-            if hits:
-                registry.counter("sim.execution.cache_hits").inc(hits)
-            emit(
-                "sim.execution", "layout_batch_simulated",
-                hosts=hosts, scenarios=scenarios, cache_hits=hits,
-                iterations=n_iter, wall_s=timer.elapsed_s,
-            )
-    return results  # type: ignore[return-value]
+    return _simulate_scenarios(
+        "simulate_layout_batch", "layout_batch_simulated", mixes, caps, eff,
+        model, options, seeds, policy_names, budgets_w,
+        layouts[0].job_index, n_iter, execute, hosts=hosts,
+    )

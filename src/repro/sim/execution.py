@@ -103,12 +103,14 @@ DEFAULT_OPTIONS = SimulationOptions()
 
 @dataclass(frozen=True)
 class _ScenarioTensors:
-    """Stacked outputs of the batched engine core (leading axis = S)."""
+    """Stacked outputs of the batched engine core (leading axis = S),
+    named as the :class:`~repro.sim.results.MixRunResult` fields their
+    rows become."""
 
-    job_iter_times: np.ndarray      # (S, iterations, jobs)
-    iteration_energy: np.ndarray    # (S, iterations)
-    host_energy: np.ndarray         # (S, hosts)
-    host_mean_power: np.ndarray     # (S, hosts)
+    iteration_times_s: np.ndarray   # (S, iterations, jobs)
+    iteration_energy_j: np.ndarray  # (S, iterations)
+    host_energy_j: np.ndarray       # (S, hosts)
+    host_mean_power_w: np.ndarray   # (S, hosts)
     total_gflop: np.ndarray         # (S,)
 
 
@@ -351,10 +353,10 @@ def _execute_scenarios(
     )
 
     return _ScenarioTensors(
-        job_iter_times=job_iter_times,
-        iteration_energy=iteration_energy,
-        host_energy=host_energy,
-        host_mean_power=host_mean_power,
+        iteration_times_s=job_iter_times,
+        iteration_energy_j=iteration_energy,
+        host_energy_j=host_energy,
+        host_mean_power_w=host_mean_power,
         total_gflop=total_gflop,
     )
 
@@ -492,10 +494,10 @@ def _simulate_mix_impl(
         policy_name=policy_name,
         budget_w=float(budget_w),
         job_names=mix.job_names,
-        iteration_times_s=out.job_iter_times[0],
-        iteration_energy_j=out.iteration_energy[0],
-        host_energy_j=out.host_energy[0],
-        host_mean_power_w=out.host_mean_power[0],
+        iteration_times_s=out.iteration_times_s[0],
+        iteration_energy_j=out.iteration_energy_j[0],
+        host_energy_j=out.host_energy_j[0],
+        host_mean_power_w=out.host_mean_power_w[0],
         host_job_index=layout.job_index,
         total_gflop=float(out.total_gflop[0]),
     )

@@ -29,7 +29,14 @@ from repro.stream import messages as msg
 from repro.stream.engine import SiteStreamEngine
 from repro.telemetry import enabled, get_bus, get_registry, span
 
-__all__ = ["StreamDaemon", "run_daemon_once"]
+__all__ = ["MAX_JOB_HOST_ITERATIONS", "StreamDaemon", "run_daemon_once"]
+
+#: Largest ``node_count × iterations`` a submitted job may ask for.  The
+#: engine holds up to three ``(S, iterations, hosts)`` float64 tensors at
+#: once (time draw, job-max gather, slack): 24 bytes per host-iteration,
+#: so 2**22 bounds one job's row at 96 MiB (a 3,200-node cluster at 100
+#: iterations needs 320,000).
+MAX_JOB_HOST_ITERATIONS = 1 << 22
 
 
 class _Subscriber:
@@ -236,8 +243,18 @@ class StreamDaemon:
                         node_count=request.node_count,
                         cluster_nodes=len(engine.cluster),
                     )
+                host_iterations = request.node_count * request.iterations
+                if host_iterations > MAX_JOB_HOST_ITERATIONS:
+                    # O(1) too: the engine's per-job tensors would not
+                    # fit in memory, and a failed pump would leave the
+                    # job's hosts and watts reserved.
+                    return msg.error_message(
+                        "job too large to simulate", name=request.name,
+                        host_iterations=host_iterations,
+                        max_host_iterations=MAX_JOB_HOST_ITERATIONS,
+                    )
                 if engine.max_pending is not None and \
-                        len(engine.queue.pending()) >= engine.max_pending:
+                        engine.queue.pending_count() >= engine.max_pending:
                     # Surface backpressure as a reply, not a silent
                     # drop: the engine would reject it anyway.
                     return msg.error_message(

@@ -26,7 +26,9 @@ budgets never exceeds the facility budget in force at their launches.
 Every admission flush is planned through the engine's memoising
 :class:`~repro.manager.site_simulation.BatchPlanner` and executed in one
 :func:`~repro.manager.site_simulation.execute_planned_batches` call — one
-``(S, hosts)`` engine pass per job-structure group.
+``(S, hosts)`` engine pass per job-structure group, each finished
+group-wise from the pass's stacked arrays — and each batch's completion
+re-enters the timeline as its own BATCH_COMPLETE event.
 """
 
 from __future__ import annotations
@@ -504,10 +506,11 @@ class SiteStreamEngine:
                 )
         push = self.loop.push
         for entry, execution in zip(collected, executions):
+            # ``entry[3]`` is a fresh slice of the free-host list, owned
+            # by this batch until its completion returns the hosts.
             push(
                 execution.record.end_s, EventKind.BATCH_COMPLETE,
-                execution=execution, hosts=tuple(entry[3]),
-                share_w=entry[4],
+                execution=execution, hosts=entry[3], share_w=entry[4],
             )
 
     def _admit_after_arrival(self, request: JobRequest) -> None:

@@ -247,9 +247,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
-        #: Bumped by :meth:`reset`: callers that cache instrument handles
-        #: re-fetch them when it moves.
-        self.generation = 0
 
     # -- accessors -----------------------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -293,7 +290,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self.generation += 1
 
     def __len__(self) -> int:
         """Total metric families registered."""

@@ -74,16 +74,8 @@ def joules_to_kwh(energy_j: float) -> float:
     return energy_j / JOULES_PER_KWH
 
 
-def _is_scalar(value) -> bool:
-    return np.ndim(value) == 0
-
-
-def ensure_positive(value, name: str):
-    """Validate that ``value`` (scalar or array) is strictly positive.
-
-    Returns the value unchanged so the helper can be used inline::
-
-        self.tdp_w = ensure_positive(tdp_w, "tdp_w")
+def _ensure(value, name: str, accepts, requirement: str):
+    """Check ``value`` is finite and ``accepts(value)`` holds everywhere.
 
     A plain ``float`` or ``int`` (exact type, so ``bool`` and numpy
     scalars take the array path) is checked without building an array;
@@ -93,49 +85,44 @@ def ensure_positive(value, name: str):
     if type(value) is float or type(value) is int:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-        if not value > 0:
-            raise ValueError(
-                f"{name} must be strictly positive, got {value!r}"
-            )
+        if not accepts(value):
+            raise ValueError(f"{name} must be {requirement}, got {value!r}")
         return value
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if not np.all(arr > 0):
-        raise ValueError(f"{name} must be strictly positive, got {value!r}")
+    if not np.all(accepts(arr)):
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
     return value
+
+
+def ensure_positive(value, name: str):
+    """Validate that ``value`` (scalar or array) is strictly positive.
+
+    Returns the value unchanged so the helper can be used inline::
+
+        self.tdp_w = ensure_positive(tdp_w, "tdp_w")
+    """
+    return _ensure(value, name, lambda v: v > 0, "strictly positive")
 
 
 def ensure_non_negative(value, name: str):
     """Validate that ``value`` (scalar or array) is >= 0; return it."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not np.all(arr >= 0):
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
+    return _ensure(value, name, lambda v: v >= 0, "non-negative")
 
 
 def ensure_fraction(value, name: str):
     """Validate that ``value`` lies in the closed interval [0, 1]; return it."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
-    return value
+    return _ensure(value, name, lambda v: (v >= 0) & (v <= 1),
+                   "within [0, 1]")
 
 
 def ensure_in_range(value, low: float, high: float, name: str):
     """Validate ``low <= value <= high`` element-wise; return ``value``."""
     if math.isnan(low) or math.isnan(high) or low > high:
         raise ValueError(f"invalid range [{low}, {high}] for {name}")
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (np.all(arr >= low) and np.all(arr <= high)):
-        raise ValueError(f"{name} must be within [{low}, {high}], got {value!r}")
-    return value
+    return _ensure(value, name, lambda v: (v >= low) & (v <= high),
+                   f"within [{low}, {high}]")
 
 
 def ensure_monotonic_increasing(values: Iterable[float], name: str):

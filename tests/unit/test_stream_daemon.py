@@ -145,11 +145,9 @@ class TestDaemon:
 
         asyncio.run(_with_daemon(engine, body))
 
-    def test_oversize_submit_rejected_before_enqueue(self, monkeypatch):
-        # A job larger than the cluster is refused with an O(1) check:
-        # nothing is queued, no stats move, and nothing is characterized
-        # (a 20M-node estimate would take seconds and gigabytes).
-        import dataclasses
+    @staticmethod
+    def _count_characterizations(monkeypatch):
+        """Record every ``characterize_mix`` call, whichever module binds it."""
         import sys
 
         from repro.characterization import mix_characterization
@@ -165,6 +163,15 @@ class TestDaemon:
             if name.startswith("repro") and \
                     getattr(module, "characterize_mix", None) is original:
                 monkeypatch.setattr(module, "characterize_mix", counting)
+        return calls
+
+    def test_oversize_submit_rejected_before_enqueue(self, monkeypatch):
+        # A job larger than the cluster is refused with an O(1) check:
+        # nothing is queued, no stats move, and nothing is characterized
+        # (a 20M-node estimate would take seconds and gigabytes).
+        import dataclasses
+
+        calls = self._count_characterizations(monkeypatch)
         engine = _engine()
         before = engine.stats.snapshot()
         factory = synthetic_job_factory()
@@ -184,6 +191,64 @@ class TestDaemon:
             assert calls  # the probe sees a job that does get planned
 
         asyncio.run(_with_daemon(engine, body))
+
+    def test_huge_iterations_submit_rejected_before_enqueue(self,
+                                                            monkeypatch):
+        # One node for 10**13 iterations fits the cluster but not the
+        # engine's (S, iterations, hosts) tensors: the O(1) host-iteration
+        # bound refuses it before anything is queued, reserved or
+        # characterized, and the engine keeps serving.
+        import dataclasses
+
+        from repro.stream.daemon import MAX_JOB_HOST_ITERATIONS
+
+        calls = self._count_characterizations(monkeypatch)
+        engine = _engine()
+        before = engine.stats.snapshot()
+        occupancy = (engine._in_flight, engine._reserved_w,
+                     set(engine._free_ids))
+        factory = synthetic_job_factory()
+
+        async def body(daemon, client):
+            huge = dataclasses.replace(factory(0), node_count=1,
+                                       iterations=10**13)
+            reply = await client.rpc(msg.submit_message(huge))
+            assert reply["type"] == "error"
+            assert reply["host_iterations"] == 10**13
+            assert reply["max_host_iterations"] == MAX_JOB_HOST_ITERATIONS
+            assert engine.stats.snapshot() == before
+            assert (engine._in_flight, engine._reserved_w,
+                    engine._free_ids) == occupancy
+            assert len(engine.queue) == 0 and not engine.loop
+            assert calls == []
+            reply = await client.rpc(msg.submit_message(factory(1)))
+            assert reply["type"] == "ack"
+            assert calls
+            assert (engine._in_flight, engine._reserved_w,
+                    engine._free_ids) == occupancy
+
+        asyncio.run(_with_daemon(engine, body))
+
+    def test_host_iteration_bound_is_inclusive(self, monkeypatch):
+        import dataclasses
+
+        from repro.stream import daemon as daemon_module
+
+        monkeypatch.setattr(daemon_module, "MAX_JOB_HOST_ITERATIONS", 12 * 30)
+        factory = synthetic_job_factory()
+
+        async def body(daemon, client):
+            at_bound = dataclasses.replace(factory(0), node_count=12,
+                                           iterations=30)
+            reply = await client.rpc(msg.submit_message(at_bound))
+            assert reply["type"] == "ack"
+            over = dataclasses.replace(factory(1), node_count=12,
+                                       iterations=31)
+            reply = await client.rpc(msg.submit_message(over))
+            assert reply["type"] == "error"
+            assert reply["host_iterations"] == 12 * 31
+
+        asyncio.run(_with_daemon(_engine(), body))
 
     def test_set_budget_round_trip(self):
         async def body(daemon, client):

@@ -122,6 +122,28 @@ class TestEnsureNonNegative:
         with pytest.raises(ValueError):
             units.ensure_non_negative(float("nan"), "x")
 
+    @pytest.mark.parametrize("value", [
+        float("-inf"), float("inf"), -1, -(2**40), -5e-324,
+        -2.2250738585072014e-308,
+    ])
+    def test_scalar_fast_path_rejects(self, value):
+        with pytest.raises(ValueError):
+            units.ensure_non_negative(value, "x")
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 5e-324, 1, 2**62,
+                                       1.7976931348623157e308])
+    def test_scalar_fast_path_accepts_and_returns_value(self, value):
+        assert units.ensure_non_negative(value, "x") is value
+
+    def test_bool_takes_the_array_path(self):
+        assert units.ensure_non_negative(False, "x") is False
+        assert units.ensure_non_negative(True, "x") is True
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+    def test_huge_int_overflows(self, value):
+        with pytest.raises(OverflowError):
+            units.ensure_non_negative(value, "x")
+
 
 class TestEnsureFraction:
     def test_accepts_bounds(self):
@@ -142,6 +164,57 @@ class TestEnsureFraction:
     def test_array_support(self):
         arr = np.array([0.0, 0.5, 1.0])
         assert units.ensure_fraction(arr, "x") is arr
+
+    @pytest.mark.parametrize("value", [
+        float("-inf"), float("inf"), -1, 2, 2**40, -5e-324,
+        1.0000000000000002,
+    ])
+    def test_scalar_fast_path_rejects(self, value):
+        with pytest.raises(ValueError):
+            units.ensure_fraction(value, "x")
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, -0.0, 5e-324, 0.5,
+                                       0.9999999999999999, 1.0])
+    def test_scalar_fast_path_accepts_and_returns_value(self, value):
+        assert units.ensure_fraction(value, "x") is value
+
+    def test_bool_takes_the_array_path(self):
+        assert units.ensure_fraction(True, "x") is True
+        assert units.ensure_fraction(False, "x") is False
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+    def test_huge_int_overflows(self, value):
+        with pytest.raises(OverflowError):
+            units.ensure_fraction(value, "x")
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(),
+    st.integers(min_value=2**1000, max_value=2**1100),
+    st.sampled_from([0, -0.0, 5e-324, -5e-324, 1, 1.0, 1.0000000000000002,
+                     True, False, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestScalarFastPathsMatchArrayPath:
+    """``ensure_non_negative`` and ``ensure_fraction`` accept and reject
+    exactly what their array paths do (a one-element list always takes
+    the array path)."""
+
+    @given(_SCALARS)
+    @settings(max_examples=300, deadline=None)
+    def test_non_negative(self, value):
+        fast = _outcome(lambda: units.ensure_non_negative(value, "x"))
+        array = _outcome(lambda: units.ensure_non_negative([value], "x"))
+        assert fast == array
+
+    @given(_SCALARS)
+    @settings(max_examples=300, deadline=None)
+    def test_fraction(self, value):
+        fast = _outcome(lambda: units.ensure_fraction(value, "x"))
+        array = _outcome(lambda: units.ensure_fraction([value], "x"))
+        assert fast == array
 
 
 class TestEnsureInRange:

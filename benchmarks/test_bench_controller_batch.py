@@ -2,18 +2,26 @@
 
 The acceptance benchmark of the batched runtime: the full Fig. 5
 characterization sweep — 8 intensities x 7 waiting/imbalance columns =
-56 balancer cells on 8 hosts, each converging the real
-``PowerBalancerAgent`` under a TDP x hosts budget — run once as 56
-serial ``Controller`` loops and once as a single ``ControllerBatch``.
-This is the regime the batch was built for: every epoch of the serial
-path pays Python-loop and small-array overhead per cell, while the
-batch advances all still-active cells through one ``(runs, hosts)``
-physics pass and one batched agent step.
+56 balancer cells on 8 hosts, each converging the real balancer under a
+TDP x hosts budget — run once as 56 serial controller loops and once as
+a single ``ControllerBatch``.  This is the regime the batch was built
+for: every epoch of the serial path pays Python-loop and small-array
+overhead per cell, while the batch advances all still-active cells
+through one ``(runs, hosts)`` physics pass and one batched agent step.
 
-Bit-identity between the two paths is asserted unconditionally for
-every cell (reports, epochs, and final limits).  The >= 4x speedup
-assertion and best-of-N timing are skipped under ``REPRO_SMOKE=1``
-(the CI smoke job, which only checks the benchmark still runs).
+The serial side is the frozen serial controller and balancer of
+``tests/controller_oracle.py``: ``Controller`` itself is now the
+one-run slice of ``ControllerBatch``, so timing it against the batch
+would compare the batch with itself.  The same 56 runs also go through
+``Controller`` one at a time; that line is the one-run (S=1) cost of
+the single runtime, printed with its ratio to the serial loop and not
+gated.
+
+Bit-identity between the serial loop and the batch is asserted
+unconditionally for every cell (reports and final limits).  The >= 4x
+speedup assertion and best-of-N timing are skipped under
+``REPRO_SMOKE=1`` (the CI smoke job, which only checks the benchmark
+still runs).
 
 Writes ``benchmarks/output/controller_batch.txt`` with the measured
 timings.
@@ -34,6 +42,7 @@ from repro.sim.engine import ExecutionModel
 from repro.workload.job import Job
 from repro.workload.kernel import WAITING_IMBALANCE_GRID, KernelConfig
 from repro.characterization.monitor_runs import DEFAULT_HEATMAP_INTENSITIES
+from tests import controller_oracle as oracle
 
 HOSTS = 8
 MAX_EPOCHS = 300
@@ -51,29 +60,40 @@ def _cell_configs():
 
 def _sweep(model, eff, budget):
     configs = _cell_configs()
-
-    def spec(config):
-        job = Job(name=f"bench-{config.label()}", config=config,
-                  node_count=HOSTS)
-        return job, PowerBalancerAgent(job_budget_w=budget)
+    jobs = [
+        Job(name=f"bench-{config.label()}", config=config, node_count=HOSTS)
+        for config in configs
+    ]
 
     def looped():
         results = []
-        for config in configs:
-            job, agent = spec(config)
-            controller = Controller(job, eff, agent, model=model)
+        for job in jobs:
+            controller = oracle.Controller(
+                job, eff, oracle.PowerBalancerAgent(job_budget_w=budget),
+                model=model,
+            )
             report = controller.run(max_epochs=MAX_EPOCHS)
             results.append((report, controller.final_limits_w()))
         return results
 
+    def one_at_a_time():
+        for job in jobs:
+            Controller(
+                job, eff, PowerBalancerAgent(job_budget_w=budget),
+                model=model,
+            ).run(max_epochs=MAX_EPOCHS)
+
     def batched():
         specs = [
-            ControllerRunSpec(job=job, efficiencies=eff, agent=agent)
-            for job, agent in (spec(config) for config in configs)
+            ControllerRunSpec(
+                job=job, efficiencies=eff,
+                agent=PowerBalancerAgent(job_budget_w=budget),
+            )
+            for job in jobs
         ]
         return run_controller_batch(specs, model=model, max_epochs=MAX_EPOCHS)
 
-    return configs, looped, batched
+    return configs, looped, one_at_a_time, batched
 
 
 def test_balancer_sweep_batched_vs_looped(emit):
@@ -84,7 +104,7 @@ def test_balancer_sweep_batched_vs_looped(emit):
     repeats = 1 if SMOKE else 3
 
     with telemetry.disabled():
-        configs, looped, batched = _sweep(model, eff, budget)
+        configs, looped, one_at_a_time, batched = _sweep(model, eff, budget)
 
         # Correctness first, always: every cell bit-identical to serial.
         serial_results = looped()
@@ -96,10 +116,15 @@ def test_balancer_sweep_batched_vs_looped(emit):
                 limits, batch_result.final_limits_w(c)
             )
 
-        t_loop = min(_timed(looped) for _ in range(repeats))
-        t_batch = min(_timed(batched) for _ in range(repeats))
+        # Interleaved repeats, so a drift in host speed hits all three.
+        timings = {fn: [] for fn in (looped, batched, one_at_a_time)}
+        for _ in range(repeats):
+            for fn, times in timings.items():
+                times.append(_timed(fn))
+        t_loop, t_batch, t_single = (min(t) for t in timings.values())
 
     speedup = t_loop / t_batch
+    single_ratio = t_single / t_loop
     epochs = batch_result.epochs
     lines = [
         "Batched controller runtime: full Fig. 5 balancer sweep, "
@@ -109,9 +134,12 @@ def test_balancer_sweep_batched_vs_looped(emit):
         f"per cell (mean {float(np.mean(epochs)):.1f}), "
         f"{int(np.count_nonzero(batch_result.converged))}/{len(configs)} "
         "converged",
-        f"  looped  ({len(configs)}x Controller.run): {t_loop * 1e3:8.2f} ms",
+        f"  looped  ({len(configs)}x serial loop):  {t_loop * 1e3:8.2f} ms",
         f"  batched (1x ControllerBatch.run):   {t_batch * 1e3:8.2f} ms",
-        f"  speedup: {speedup:.2f}x  (best of {repeats})",
+        f"  speedup: {speedup:.2f}x  (best of {repeats}, interleaved)",
+        f"  S=1     ({len(configs)}x Controller.run):  "
+        f"{t_single * 1e3:8.2f} ms  ({single_ratio:.2f}x the serial loop, "
+        "not gated)",
         "  bit-identical to serial: True (all cells, reports + limits)",
     ]
     emit(
@@ -121,6 +149,8 @@ def test_balancer_sweep_batched_vs_looped(emit):
             BenchMetric("looped_ms", t_loop * 1e3, "ms",
                         direction="lower_better"),
             BenchMetric("batched_ms", t_batch * 1e3, "ms",
+                        direction="lower_better"),
+            BenchMetric("single_ms", t_single * 1e3, "ms",
                         direction="lower_better"),
             BenchMetric("mean_epochs", float(np.mean(epochs)), "epochs"),
             BenchMetric(

@@ -15,13 +15,15 @@ infrastructure:
   path and re-distributes the slack to hosts that do, yielding the
   "minimum power each workload needs" (metric (b), Fig. 5).
 
-:class:`~repro.runtime.controller.Controller` drives an agent over control
+There is one controller runtime.
+:class:`~repro.runtime.batch.ControllerBatch` drives agents over control
 epochs against the simulated platform, exactly where GEOPM's Controller
-sits on real hardware, and emits :class:`~repro.runtime.reports.JobReport`
-objects the resource-manager policies consume.
-:class:`~repro.runtime.batch.ControllerBatch` advances many such runs in
-lockstep as ``(runs, hosts)`` tensors, bit-identical per run to the serial
-controller — the fast path for characterization grids and scenario sweeps.
+sits on real hardware, advancing many runs in lockstep as
+``(runs, hosts)`` tensors and emitting the
+:class:`~repro.runtime.reports.JobReport` objects the resource-manager
+policies consume.  :class:`~repro.runtime.controller.Controller` is its
+one-run slice, and the three agents above are each the one-row slice of
+their batched form (:class:`~repro.runtime.agent.BatchSliceAgent`).
 """
 
 from repro.runtime.reports import HostReport, JobReport, report_from_arrays

@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.agent import (
-    Agent,
     AgentBatch,
+    BatchSliceAgent,
     DEFAULT_REGISTRY,
-    PlatformSample,
     SampleBatch,
 )
 
@@ -23,34 +22,26 @@ __all__ = ["MonitorAgent"]
 
 
 @DEFAULT_REGISTRY.register
-class MonitorAgent(Agent):
+class MonitorAgent(BatchSliceAgent):
     """Leave limits untouched; exist only so reports get generated."""
 
     name = "monitor"
 
     def __init__(self) -> None:
-        self._last_limits: np.ndarray | None = None
-
-    def adjust(self, sample: PlatformSample) -> np.ndarray:
-        """Echo back whatever limits are already in force."""
-        self._last_limits = np.array(sample.power_limit_w, dtype=float, copy=True)
-        return self._last_limits
+        self._batch = _MonitorBatch()
 
     @classmethod
     def make_batch(cls, agents) -> "_MonitorBatch":
         """Batch any group of monitors (they are stateless echoes)."""
-        return _MonitorBatch(len(agents))
+        return _MonitorBatch()
 
 
 class _MonitorBatch(AgentBatch):
     """Vectorised monitor: echo every run's in-force limits at once."""
 
-    def __init__(self, run_count: int) -> None:
-        self._run_count = int(run_count)
-
     def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
         return np.array(sample.power_limit_w, dtype=float, copy=True)
 
     def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        # Serial ``MonitorAgent`` inherits the trivially-true converged().
+        # A monitor has no control loop: trivially converged.
         return np.ones(rows.size, dtype=bool)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.agent import (
-    Agent,
     AgentBatch,
+    BatchSliceAgent,
     DEFAULT_REGISTRY,
-    PlatformSample,
     SampleBatch,
 )
 from repro.units import ensure_positive
@@ -23,7 +22,7 @@ __all__ = ["PowerGovernorAgent"]
 
 
 @DEFAULT_REGISTRY.register
-class PowerGovernorAgent(Agent):
+class PowerGovernorAgent(BatchSliceAgent):
     """Hold every host at ``job_budget_w / host_count``.
 
     Parameters
@@ -37,15 +36,7 @@ class PowerGovernorAgent(Agent):
     def __init__(self, job_budget_w: float) -> None:
         ensure_positive(job_budget_w, "job_budget_w")
         self.job_budget_w = float(job_budget_w)
-
-    def adjust(self, sample: PlatformSample) -> np.ndarray:
-        """Uniform per-host limit; constant across epochs."""
-        hosts = sample.power_limit_w.size
-        return np.full(hosts, self.job_budget_w / hosts)
-
-    def describe(self):
-        """Report the governed budget."""
-        return {"job_budget_w": self.job_budget_w}
+        self._batch = _PowerGovernorBatch(np.array([self.job_budget_w]))
 
     @classmethod
     def make_batch(cls, agents) -> "_PowerGovernorBatch":
@@ -67,8 +58,7 @@ class _PowerGovernorBatch(AgentBatch):
         return np.broadcast_to(uniform[:, None], (rows.size, hosts)).copy()
 
     def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        # Serial ``PowerGovernorAgent`` inherits the trivially-true
-        # converged().
+        # A fixed split has no control loop: trivially converged.
         return np.ones(rows.size, dtype=bool)
 
     def describe_run(self, row: int):

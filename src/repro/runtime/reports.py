@@ -179,12 +179,12 @@ def report_from_arrays(
 ) -> JobReport:
     """Build a :class:`JobReport` from stacked per-epoch history arrays.
 
-    This is the one report construction both the serial
-    :class:`~repro.runtime.controller.Controller` and the batched
-    :class:`~repro.runtime.batch.ControllerBatch` go through, so a batched
-    run's report is bit-identical to its serial twin by construction: the
-    caller hands the same ``(E,)`` epoch times and ``(E, hosts)`` energy /
-    frequency stacks, and every reduction below happens in one fixed order.
+    This is the one report construction of the controller runtime
+    (:class:`~repro.runtime.batch.ControllerBatch`, whose one-run slice
+    is :class:`~repro.runtime.controller.Controller`): the caller hands
+    the ``(E,)`` epoch times and ``(E, hosts)`` energy / frequency stacks,
+    and every reduction below happens in one fixed order, so a run's
+    report does not depend on which runs shared its batch.
 
     Parameters
     ----------

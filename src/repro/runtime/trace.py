@@ -6,7 +6,7 @@ what operators use to debug a balancer that won't converge and what
 papers plot time series from.  :class:`TraceWriter` collects
 :class:`~repro.runtime.agent.PlatformSample` objects from a controller
 run into a columnar trace with CSV export, and :func:`attach_tracer`
-wires one into a controller non-invasively.
+attaches one to a controller, which feeds it after each run.
 
 Traces ride the unified telemetry pipeline: :meth:`TraceWriter.record`
 *publishes* each sample as a ``runtime.trace`` event on an
@@ -204,17 +204,11 @@ class TraceWriter:
 def attach_tracer(controller) -> TraceWriter:
     """Attach a tracer to a controller without touching its agent.
 
-    Wraps the controller's ``_run_epoch`` so every sample is recorded
-    before the agent sees it.  Returns the writer; read
-    ``writer.trace`` after :meth:`Controller.run`.
+    The controller feeds the writer every epoch's truthful physics
+    sample, in epoch order, when each :meth:`Controller.run` finishes, so
+    the ``epoch_sample`` events follow the run's other events.  Returns
+    the writer; read ``writer.trace`` after the run.
     """
     writer = TraceWriter(job_name=controller.job.name)
-    original = controller._run_epoch
-
-    def traced(epoch, limits_w):
-        sample = original(epoch, limits_w)
-        writer.record(sample)
-        return sample
-
-    controller._run_epoch = traced
+    controller.tracers.append(writer)
     return writer

@@ -323,7 +323,7 @@ class MetricsRegistry:
         surface per-worker telemetry in the parent process.
 
         Gauges merge as a maximum because per-worker levels (e.g.
-        ``runtime.controller.batch_active_runs``) are concurrent: the
+        ``manager.site.utilization``) are concurrent: the
         workers' final values all describe the same instant of the
         parallel run, so "last state shipped wins" would silently report
         an arbitrary worker.  The peak is the one order-independent

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.runtime.agent import PlatformSample
 from repro.runtime.controller import Controller
 from repro.runtime.power_balancer import PowerBalancerAgent
 from repro.runtime.trace import JobTrace, TraceWriter, attach_tracer
 from repro.workload.job import Job
 from repro.workload.kernel import KernelConfig
+from tests import controller_oracle as oracle
 
 
 def _sample(epoch, n=3):
@@ -111,3 +113,54 @@ class TestAttachTracer:
         last_step = float(steps[-1])
         assert biggest > 1.0  # the balancer did move limits
         assert last_step < biggest / 10
+
+    def test_rows_equal_oracle_controller_trace(self, execution_model):
+        """Trace rows fed after each run equal the rows the frozen serial
+        controller recorded epoch by epoch, over two runs."""
+        job = Job(
+            name="t",
+            config=KernelConfig(intensity=16.0, waiting_fraction=0.5, imbalance=3),
+            node_count=6,
+        )
+        eff = np.linspace(0.96, 1.04, 6)
+        ref = oracle.Controller(
+            job, eff, oracle.PowerBalancerAgent(job_budget_w=6 * 240.0),
+            model=execution_model, noise_std=0.01, seed=11,
+        )
+        ref_writer = oracle.attach_tracer(ref)
+        for max_epochs in (7, 40):
+            ref.run(max_epochs=max_epochs)
+        ref_writer.close()
+
+        controller = Controller(
+            job, eff, PowerBalancerAgent(job_budget_w=6 * 240.0),
+            model=execution_model, noise_std=0.01, seed=11,
+        )
+        writer = attach_tracer(controller)
+        for max_epochs in (7, 40):
+            controller.run(max_epochs=max_epochs)
+        writer.close()
+        assert len(writer.trace) > 7 * 6
+        assert writer.trace.records == ref_writer.trace.records
+
+    def test_epoch_samples_follow_the_run_events(self, execution_model):
+        """The tracer is fed when the run finishes: its epoch samples come
+        after the run's ``run_complete`` event, in epoch order."""
+        job = Job(name="t", config=KernelConfig(intensity=8.0), node_count=3)
+        controller = Controller(job, np.ones(3), PowerBalancerAgent(720.0),
+                                model=execution_model)
+        writer = attach_tracer(controller)
+        telemetry.reset()
+        try:
+            controller.run(max_epochs=10)
+            events = [e for e in telemetry.get_bus().events()
+                      if e.source in ("runtime.controller", "runtime.trace")]
+        finally:
+            writer.close()
+            telemetry.reset()
+        assert [e.kind for e in events] == (
+            ["run_complete"] + ["epoch_sample"] * len(controller.history)
+        )
+        assert [e.payload["epoch"] for e in events[1:]] == list(
+            range(len(controller.history))
+        )

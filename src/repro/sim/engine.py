@@ -103,6 +103,27 @@ class ExecutionModel:
         f = self.power_model.freq_at_cap(caps_w, layout.poll_kappa, efficiencies)
         return self.power_model.power_at_freq(f, layout.poll_kappa, efficiencies)
 
+    def operating_point(self, caps_w: np.ndarray, layout: HostLayout,
+                        efficiencies: np.ndarray):
+        """``(frequency, compute power, poll power)`` per host under caps.
+
+        Element for element the values of :meth:`frequencies`,
+        ``power_model.power_at_freq`` at those frequencies, and
+        :meth:`poll_power`, computed in one power-model pass over both
+        phases laid side by side on the host axis.  ``caps_w`` must
+        already be clamped.
+        """
+        caps = np.asarray(caps_w, dtype=float)
+        eff = np.asarray(efficiencies, dtype=float)
+        hosts = caps.shape[-1]
+        kappa = np.concatenate((layout.kappa, layout.poll_kappa), axis=-1)
+        eff = np.concatenate((eff, eff), axis=-1)
+        freq = self.power_model.freq_at_cap(
+            np.concatenate((caps, caps), axis=-1), kappa, eff
+        )
+        power = self.power_model.power_at_freq(freq, kappa, eff)
+        return freq[..., :hosts], power[..., :hosts], power[..., hosts:]
+
     # ------------------------------------------------------------------
     # inverse map (the balancer's primitive)
     # ------------------------------------------------------------------

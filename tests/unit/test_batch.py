@@ -205,6 +205,28 @@ class TestStackLayouts:
             assert resolved == expected
             assert np.array_equal(batch.kappa[s], layout.kappa)
 
+    def test_take_gathers_scenario_rows(self):
+        layouts = [
+            WorkloadMix(
+                name=f"m{i}",
+                jobs=(Job(name="j", config=KernelConfig(intensity=x),
+                          node_count=3, iterations=1),),
+            ).layout()
+            for i, x in enumerate([1.0, 4.0, 16.0])
+        ]
+        batch = stack_layouts(layouts)
+        for rows in (np.array([2, 0]), np.array([False, True, True])):
+            taken = batch.take(rows)
+            assert taken.job_index is batch.job_index
+            assert taken.ceiling_names == batch.ceiling_names
+            for f in dataclasses.fields(LayoutBatch):
+                value = getattr(batch, f.name)
+                if f.name not in ("job_index", "job_boundaries",
+                                  "ceiling_names"):
+                    np.testing.assert_array_equal(
+                        getattr(taken, f.name), value[rows]
+                    )
+
 
 class TestCharacterizeMixBatch:
     def test_matches_serial_per_fraction(self):

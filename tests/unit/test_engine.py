@@ -74,6 +74,32 @@ class TestForward:
         p_comp = execution_model.compute_power(caps, layout, eff)
         assert np.all(p_poll < p_comp)
 
+    def test_operating_point_equals_the_separate_maps(self, execution_model):
+        """One pass over both phases gives, bit for bit, the values of
+        ``frequencies``, ``power_at_freq`` and ``poll_power``."""
+        from repro.sim.batch import stack_layouts
+
+        m = execution_model
+        rng = np.random.default_rng(3)
+        layout = _layout(waiting=0.5, imbalance=2)
+        stacked = stack_layouts([layout, _layout(intensity=32.0)])
+        cases = [
+            (m.power_model.clamp_cap(rng.uniform(100, 260, 6)), layout,
+             rng.uniform(0.9, 1.1, 6)),
+            (m.power_model.clamp_cap(rng.uniform(100, 260, (3, 6))), layout,
+             rng.uniform(0.9, 1.1, 6)),
+            (m.power_model.clamp_cap(rng.uniform(100, 260, (2, 6))), stacked,
+             rng.uniform(0.9, 1.1, (2, 6))),
+        ]
+        for caps, lay, eff in cases:
+            freq, p_compute, p_poll = m.operating_point(caps, lay, eff)
+            want = m.frequencies(caps, lay, eff)
+            np.testing.assert_array_equal(freq, want)
+            np.testing.assert_array_equal(
+                p_compute, m.power_model.power_at_freq(want, lay.kappa, eff)
+            )
+            np.testing.assert_array_equal(p_poll, m.poll_power(caps, lay, eff))
+
 
 class TestInverse:
     def test_required_frequency_meets_target(self, execution_model):
